@@ -1,10 +1,10 @@
 // Crash-resilience bench (ISSUE 3): what crash consistency costs and what it
 // buys.
 //
-//   1. Close-path overhead: mean blocking close() latency with the
-//      write-ahead intent journal off vs on. The journal adds one
-//      coordination replace ahead of the file upload, so the delta is the
-//      price of crash consistency on the hot path.
+//   1. Close-path journal cost, attributed from the trace: the write-ahead
+//      intent is one coordination round (the coord.op span under
+//      log.intent) serialized ahead of the file upload — the price of crash
+//      consistency on the hot path, in ms and as a share of close latency.
 //   2. Crash-to-consistent MTTR: for every client-side crash point, the
 //      virtual time from the simulated process death to a consistent,
 //      writable deployment again (login replaying the intent journal + the
@@ -22,33 +22,46 @@
 namespace rockfs::bench {
 namespace {
 
-core::Deployment make_crash_deployment(bool enable_journal, std::uint64_t seed) {
+core::Deployment make_crash_deployment(std::uint64_t seed) {
   set_log_level(LogLevel::kError);
   core::DeploymentOptions opts;
   opts.seed = seed;
   opts.agent.sync_mode = scfs::SyncMode::kBlocking;
-  opts.agent.enable_journal = enable_journal;
   return core::Deployment(opts);
 }
 
-/// Mean blocking-close latency (ms) over `files` create + update pairs.
-double close_latency_ms(bool enable_journal, int files, std::uint64_t seed) {
-  auto dep = make_crash_deployment(enable_journal, seed);
+struct JournalCost {
+  double close_ms = 0.0;    // mean blocking close() latency
+  double journal_ms = 0.0;  // intent record round per close
+  double share_pct = 0.0;   // journal_ms / close_ms
+};
+
+/// Mean blocking-close latency over `files` create + update pairs, and the
+/// part of it the trace attributes to the intent journal.
+JournalCost journal_cost(int files, std::uint64_t seed) {
+  auto dep = make_crash_deployment(seed);
   auto& alice = dep.add_user("alice");
   Rng rng(seed ^ 0xC10);
   std::vector<double> ms;
+  std::vector<double> journal_ms;
+  const auto timed_write = [&](const std::string& path, const Bytes& content) {
+    const auto t0 = dep.clock()->now_us();
+    alice.write_file(path, content).expect("bench write");
+    ms.push_back(static_cast<double>(dep.clock()->now_us() - t0) / 1e3);
+    journal_ms.push_back(span_total("coord.op", "", "log.intent").ms);
+  };
   for (int i = 0; i < files; ++i) {
     const std::string path = "/bench/f" + std::to_string(i);
     Bytes content = rng.next_bytes(64 * 1024);
-    auto t0 = dep.clock()->now_us();
-    alice.write_file(path, content).expect("bench create");
-    ms.push_back(static_cast<double>(dep.clock()->now_us() - t0) / 1e3);
+    timed_write(path, content);
     append(content, rng.next_bytes(16 * 1024));
-    t0 = dep.clock()->now_us();
-    alice.write_file(path, content).expect("bench update");
-    ms.push_back(static_cast<double>(dep.clock()->now_us() - t0) / 1e3);
+    timed_write(path, content);
   }
-  return mean(ms);
+  JournalCost out;
+  out.close_ms = mean(ms);
+  out.journal_ms = mean(journal_ms);
+  out.share_pct = out.close_ms > 0.0 ? 100.0 * out.journal_ms / out.close_ms : 0.0;
+  return out;
 }
 
 struct MttrResult {
@@ -59,7 +72,7 @@ struct MttrResult {
 /// Crash at `point`, then measure virtual time until the deployment is
 /// consistent and the interrupted operation has been completed.
 MttrResult measure_mttr(sim::CrashPoint point, int warm_files, std::uint64_t seed) {
-  auto dep = make_crash_deployment(/*enable_journal=*/true, seed);
+  auto dep = make_crash_deployment(seed);
   auto& alice = dep.add_user("alice");
   Rng rng(seed ^ 0x3A5);
   for (int i = 0; i < warm_files; ++i) {
@@ -104,14 +117,11 @@ void run(const BenchArgs& args) {
   std::printf("Crash-resilience bench: blocking closes, 64 KiB files, f=1, seed %llu\n",
               static_cast<unsigned long long>(seed));
 
-  const double off_ms = close_latency_ms(false, files, seed);
-  const double on_ms = close_latency_ms(true, files, seed);
-  const double overhead_pct = off_ms > 0.0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
-  print_header("close-path overhead of the intent journal",
-               {"journal", "mean close ms"});
-  std::printf("%14s%14.2f\n", "off", off_ms);
-  std::printf("%14s%14.2f\n", "on", on_ms);
-  std::printf("overhead: %.1f%%\n", overhead_pct);
+  const JournalCost journal = journal_cost(files, seed);
+  print_header("close-path cost of the intent journal (from the close's span tree)",
+               {"close ms", "journal ms", "share"});
+  std::printf("%14.2f%14.2f%13.1f%%\n", journal.close_ms, journal.journal_ms,
+              journal.share_pct);
 
   print_header("crash-to-consistent MTTR", {"crash point", "mttr ms"});
   std::vector<MttrResult> mttrs;
@@ -123,9 +133,9 @@ void run(const BenchArgs& args) {
   std::string json = "{\"bench\":\"crash_resilience\",\"close\":{";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "\"journal_off_ms\":%.3f,\"journal_on_ms\":%.3f,\"overhead_pct\":%.2f},"
+                "\"close_ms\":%.3f,\"journal_ms\":%.3f,\"journal_pct\":%.2f},"
                 "\"mttr\":[",
-                off_ms, on_ms, overhead_pct);
+                journal.close_ms, journal.journal_ms, journal.share_pct);
   json += buf;
   for (std::size_t i = 0; i < mttrs.size(); ++i) {
     std::snprintf(buf, sizeof(buf), "%s{\"point\":\"%s\",\"mttr_ms\":%.1f}",

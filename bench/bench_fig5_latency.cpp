@@ -61,7 +61,8 @@ Cell run_cell(std::size_t size_mb, scfs::SyncMode mode, const BenchArgs& args) {
   return cell;
 }
 
-void run(const BenchArgs& args) {
+/// Returns false when the trace failed to reconcile with a close latency.
+bool run(const BenchArgs& args) {
   const std::vector<std::size_t> sizes =
       args.quick ? std::vector<std::size_t>{1, 5, 10}
                  : std::vector<std::size_t>{1, 5, 10, 20, 30, 40, 50};
@@ -89,6 +90,7 @@ void run(const BenchArgs& args) {
   std::printf("trace reconciliation: max |exclusive-sum - close latency| = %.4f%% "
               "(must stay <1%%)\n",
               g_max_reconcile_err * 100.0);
+  return g_max_reconcile_err < 0.01;
 }
 
 }  // namespace
@@ -96,7 +98,7 @@ void run(const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   const auto args = rockfs::bench::BenchArgs::parse(argc, argv);
-  rockfs::bench::run(args);
+  const bool reconciled = rockfs::bench::run(args);
   rockfs::bench::dump_metrics_json(args);
-  return 0;
+  return reconciled ? 0 : 1;
 }

@@ -7,9 +7,10 @@
 //      the contender's first (refused) lock attempt to its successful
 //      takeover of the expired lease. Bounded by the lease TTL plus the
 //      contender's retry quantum.
-//   3. Close-path fencing overhead: mean blocking close() latency with
-//      fencing epochs off (the PR 3 pipeline, bench baseline) vs on (adds
-//      the pre-flight lease read and the log append's fence checks).
+//   3. Close-path fencing cost, attributed from the trace: per locked
+//      blocking close(), the fence checks (coord.op "rdp" spans — the
+//      pre-flight lease read and the log append's two checks) and their
+//      virtual time, against the mean close latency.
 //   4. One chaos soak cell (N agents, crash+hang schedules) with its
 //      convergence counters, as a smoke-level regression signal.
 //
@@ -25,13 +26,11 @@
 namespace rockfs::bench {
 namespace {
 
-core::Deployment make_lease_deployment(bool fencing, std::uint64_t seed,
-                                       std::int64_t lease_ttl_us) {
+core::Deployment make_lease_deployment(std::uint64_t seed, std::int64_t lease_ttl_us) {
   set_log_level(LogLevel::kError);
   core::DeploymentOptions opts;
   opts.seed = seed;
   opts.agent.sync_mode = scfs::SyncMode::kBlocking;
-  opts.agent.fencing = fencing;
   opts.agent.lease_ttl_us = lease_ttl_us;
   return core::Deployment(opts);
 }
@@ -44,7 +43,7 @@ struct LockLatency {
 };
 
 LockLatency lock_latency(int paths, std::uint64_t seed) {
-  auto dep = make_lease_deployment(true, seed, kTtlUs);
+  auto dep = make_lease_deployment(seed, kTtlUs);
   auto& alice = dep.add_user("alice");
   LockLatency out;
   std::vector<double> acquire_ms;
@@ -67,7 +66,7 @@ LockLatency lock_latency(int paths, std::uint64_t seed) {
 /// Holder crashes mid-close with the lease held; returns the virtual time
 /// the contender spends blocked (first refused lock -> successful eviction).
 double eviction_latency_ms(std::uint64_t seed) {
-  auto dep = make_lease_deployment(true, seed, kTtlUs);
+  auto dep = make_lease_deployment(seed, kTtlUs);
   auto& alice = dep.add_user("alice");
   auto& bob = dep.add_user("bob");
   Rng rng(seed ^ 0xE71C);
@@ -89,26 +88,45 @@ double eviction_latency_ms(std::uint64_t seed) {
   return static_cast<double>(dep.clock()->now_us() - t0) / 1e3;
 }
 
-/// Mean blocking close() latency for locked writes, fencing on or off.
-double close_latency_ms(bool fencing, int files, std::uint64_t seed) {
-  auto dep = make_lease_deployment(fencing, seed, kTtlUs);
+struct FenceCost {
+  double close_ms = 0.0;       // mean blocking close() latency
+  double checks = 0.0;         // fence reads (coord.op "rdp") per close
+  double fence_ms = 0.0;       // their virtual time per close
+  double share_pct = 0.0;      // fence_ms / close_ms
+};
+
+/// Mean blocking close() latency for locked writes, and the part of it the
+/// trace attributes to fence checks.
+FenceCost fence_cost(int files, std::uint64_t seed) {
+  auto dep = make_lease_deployment(seed, kTtlUs);
   auto& alice = dep.add_user("alice");
   Rng rng(seed ^ 0xC705E);
   std::vector<double> ms;
+  std::vector<double> checks;
+  std::vector<double> fence_ms;
+  const auto timed_write = [&](const std::string& path, const Bytes& content) {
+    const auto t0 = dep.clock()->now_us();
+    alice.write_file(path, content).expect("bench write");
+    ms.push_back(static_cast<double>(dep.clock()->now_us() - t0) / 1e3);
+    const SpanTotal fence = span_total("coord.op", "rdp");
+    checks.push_back(static_cast<double>(fence.count));
+    fence_ms.push_back(fence.ms);
+  };
   for (int i = 0; i < files; ++i) {
     const std::string path = "/bench/f" + std::to_string(i);
     alice.lock(path).expect("bench lock");
     Bytes content = rng.next_bytes(64 * 1024);
-    auto t0 = dep.clock()->now_us();
-    alice.write_file(path, content).expect("bench create");
-    ms.push_back(static_cast<double>(dep.clock()->now_us() - t0) / 1e3);
+    timed_write(path, content);
     append(content, rng.next_bytes(16 * 1024));
-    t0 = dep.clock()->now_us();
-    alice.write_file(path, content).expect("bench update");
-    ms.push_back(static_cast<double>(dep.clock()->now_us() - t0) / 1e3);
+    timed_write(path, content);
     alice.unlock(path).expect("bench unlock");
   }
-  return mean(ms);
+  FenceCost out;
+  out.close_ms = mean(ms);
+  out.checks = mean(checks);
+  out.fence_ms = mean(fence_ms);
+  out.share_pct = out.close_ms > 0.0 ? 100.0 * out.fence_ms / out.close_ms : 0.0;
+  return out;
 }
 
 void run(const BenchArgs& args) {
@@ -129,19 +147,14 @@ void run(const BenchArgs& args) {
   print_header("eviction latency after holder crash", {"lease TTL ms", "blocked ms"});
   std::printf("%14.0f%14.1f\n", static_cast<double>(kTtlUs) / 1e3, eviction_ms);
 
-  const double off_ms = close_latency_ms(false, files, seed);
-  const double on_ms = close_latency_ms(true, files, seed);
-  const double overhead_pct = off_ms > 0.0 ? 100.0 * (on_ms - off_ms) / off_ms : 0.0;
-  print_header("close-path fencing overhead (vs the fencing-off baseline)",
-               {"fencing", "mean close ms"});
-  std::printf("%14s%14.2f\n", "off", off_ms);
-  std::printf("%14s%14.2f\n", "on", on_ms);
-  std::printf("overhead: %.1f%%\n", overhead_pct);
+  const FenceCost fence = fence_cost(files, seed);
+  print_header("close-path fence checks (from the close's span tree)",
+               {"close ms", "checks/close", "fence ms", "share"});
+  std::printf("%14.2f%14.2f%14.2f%13.1f%%\n", fence.close_ms, fence.checks, fence.fence_ms,
+              fence.share_pct);
 
   core::MultiClientOptions soak;
   soak.seed = seed;
-  soak.agents = 3;
-  soak.paths = 2;
   soak.rounds = args.quick ? 12 : 24;
   soak.lease_ttl_us = kTtlUs;
   const auto report = core::run_multiclient_soak(soak);
@@ -162,10 +175,10 @@ void run(const BenchArgs& args) {
   std::snprintf(buf, sizeof(buf),
                 "\"lock\":{\"acquire_ms\":%.3f,\"renew_ms\":%.3f},"
                 "\"eviction\":{\"lease_ttl_ms\":%.0f,\"blocked_ms\":%.1f},"
-                "\"close\":{\"fencing_off_ms\":%.3f,\"fencing_on_ms\":%.3f,"
-                "\"overhead_pct\":%.2f},",
+                "\"close\":{\"close_ms\":%.3f,\"fence_checks\":%.2f,"
+                "\"fence_ms\":%.3f,\"fence_pct\":%.2f},",
                 locks.acquire_ms, locks.renew_ms, static_cast<double>(kTtlUs) / 1e3,
-                eviction_ms, off_ms, on_ms, overhead_pct);
+                eviction_ms, fence.close_ms, fence.checks, fence.fence_ms, fence.share_pct);
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "\"soak\":{\"committed\":%zu,\"fenced\":%zu,\"crashed\":%zu,"

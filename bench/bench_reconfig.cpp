@@ -260,7 +260,7 @@ int run(const BenchArgs& args) {
                 "\"honest_digest\":\"%s\"},",
                 mean(mttr), mean(quarantine_ops), last.units_migrated,
                 last.shares_rebuilt, last.reconfig_crashes,
-                soak_ok ? "true" : "false", last.honest_digest.c_str());
+                soak_ok ? "true" : "false", last.content_digest.c_str());
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "\"read_overhead\":{\"witness_ms\":%.2f,\"empty_ms\":%.2f,"

@@ -148,7 +148,7 @@ void run(const BenchArgs& args) {
                 static_cast<double>(report.max_lockout_latency_us) / 1e3,
                 static_cast<double>(report.max_rotation_us) / 1e3,
                 report.lockout_held ? "true" : "false",
-                report.converged ? "true" : "false", report.honest_digest.c_str());
+                report.converged ? "true" : "false", report.content_digest.c_str());
   json += buf;
   std::printf("\n%s\n", json.c_str());
 }

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -70,6 +71,42 @@ inline double stddev(const std::vector<double>& xs) {
   double s = 0;
   for (const double x : xs) s += (x - m) * (x - m);
   return std::sqrt(s / static_cast<double>(xs.size() - 1));
+}
+
+/// Count and summed virtual duration of a set of spans.
+struct SpanTotal {
+  std::size_t count = 0;
+  double ms = 0.0;
+};
+
+/// Sums the spans named `name` (and labelled `label`, when non-empty) in the
+/// subtree of the latest span named `root` — by default the latest
+/// scfs.close, i.e. the close that just returned. Durations are the spans'
+/// own (inclusive) virtual times, so the result prices one layer's work
+/// inside the close without a toggled-off baseline run.
+inline SpanTotal span_total(const std::string& name, const std::string& label = "",
+                            const std::string& root = "scfs.close") {
+  const auto events = obs::tracer().events();
+  std::uint64_t root_id = 0;
+  std::unordered_map<std::uint64_t, std::uint64_t> parent;
+  for (const auto& e : events) {
+    parent[e.id] = e.parent;
+    if (e.name == root && e.id > root_id) root_id = e.id;
+  }
+  SpanTotal total;
+  if (root_id == 0) return total;
+  for (const auto& e : events) {
+    if (e.name != name || (!label.empty() && e.label != label)) continue;
+    std::uint64_t id = e.parent;
+    while (id != 0 && id != root_id) {
+      const auto it = parent.find(id);
+      id = it == parent.end() ? 0 : it->second;
+    }
+    if (id != root_id) continue;
+    ++total.count;
+    total.ms += static_cast<double>(e.duration_us) / 1e3;
+  }
+  return total;
 }
 
 /// Fresh deployment configured for one benchmark cell.

@@ -48,8 +48,8 @@ struct DirtyEntry {
   Bytes content;
   Bytes log_base;                 // committed content the log entry diffs against
   std::uint64_t base_version = 0; // committed inode version underneath
-  std::uint64_t write_epoch = 0;  // fencing epoch of the write (kNoFenceEpoch = off)
-  std::uint64_t stamp_epoch = 0;  // inode epoch to stamp when unfenced
+  std::uint64_t write_epoch = 0;  // fencing epoch the flush commits under
+  std::uint64_t stamp_epoch = 0;  // file epoch observed at open (stat/open overlay)
   std::int64_t first_dirty_us = 0;
   std::size_t coalesced = 0;      // closes absorbed beyond the first
 };

@@ -37,8 +37,10 @@ void ThreadPool::worker_loop() {
       fn = std::move(queue_.front());
       queue_.pop_front();
     }
-    fn();
+    // Count before running: fn() may fulfil a future its submitter waits
+    // on, and a count taken afterwards could lag what the submitter sees.
     executed_.fetch_add(1, std::memory_order_relaxed);
+    fn();
   }
 }
 

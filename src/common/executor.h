@@ -178,7 +178,8 @@ class ThreadPool final : public Executor {
 
   void execute(std::function<void()> fn) override;
   std::size_t concurrency() const noexcept override { return workers_.size(); }
-  /// Tasks executed so far (tests / introspection).
+  /// Tasks started so far (tests / introspection). Counted before each task
+  /// runs, so it never lags a future the task has fulfilled.
   std::uint64_t executed() const noexcept {
     return executed_.load(std::memory_order_relaxed);
   }

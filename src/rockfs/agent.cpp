@@ -64,7 +64,6 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   fs_opts.user_id = user_id_;
   fs_opts.session_id = session_id;
   fs_opts.lease_ttl_us = options_.lease_ttl_us;
-  fs_opts.fencing = options_.fencing;
   fs_opts.use_cache = options_.enable_cache;
   fs_opts.cache = cache_;
   fs_opts.writeback = options_.writeback;
@@ -95,13 +94,13 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
 
   if (options_.enable_logging) {
     // Resume the chain where a previous session left off (the aggregates
-    // tuple records how far the keys have evolved). With the journal on,
-    // this is also where a crashed previous session is repaired: pending
-    // intents are replayed before the first new append.
+    // tuple records how far the keys have evolved). This is also where a
+    // crashed previous session is repaired: the write-ahead intent journal
+    // (journal.h) is replayed before the first new append.
     log_ = make_resumed_log_service(
         user_id_, storage_, keystore_->log_tokens, coordination_, clock_,
         fssagg::FssAggKeys{keystore_->fssagg_key_a, keystore_->fssagg_key_b},
-        LogServiceOptions{options_.enable_journal, options_.crash,
+        LogServiceOptions{/*enable_journal=*/true, options_.crash,
                           keystore_->fssagg_base_count});
     log_->set_compression(options_.compress_log);
     fs_->set_close_intent_hook(

@@ -32,10 +32,6 @@ struct AgentOptions {
   /// Additional DepSky writers this agent trusts (the administrator's key,
   /// so that recovered files verify).
   std::vector<Bytes> trusted_writers;
-  /// Persist write-ahead intents before each close pipeline and replay them
-  /// at login, so a client crash anywhere along the close path is repaired
-  /// on the next session (journal.h).
-  bool enable_journal = true;
   /// Crash schedule for fault-injection tests: crash points along the close
   /// path consult it, and a fired crash tears the session down exactly like
   /// a dead client process (the API call reports kCrashed).
@@ -43,9 +39,6 @@ struct AgentOptions {
   /// Lease TTL for advisory locks (scfs/lease.h); an expired lease is
   /// evictable by any contender.
   std::int64_t lease_ttl_us = 30'000'000;
-  /// Fencing epochs on the close path (scfs/lease.h). Off reproduces the
-  /// PR 3 close pipeline byte-for-byte (bench baseline).
-  bool fencing = true;
   /// Thread pool for the DepSky fan-out and per-share encode/seal work
   /// (common/executor.h); null runs everything inline. Seeded results are
   /// byte-identical either way (the determinism contract, ARCHITECTURE §11).

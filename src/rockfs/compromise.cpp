@@ -1,17 +1,14 @@
 #include "rockfs/compromise.h"
 
 #include <algorithm>
-#include <map>
+#include <set>
 
-#include "common/hex.h"
-#include "common/rng.h"
-#include "crypto/sha256.h"
 #include "rockfs/audit.h"
-#include "rockfs/deployment.h"
-#include "sim/faults.h"
 
 namespace rockfs::core {
 namespace {
+
+constexpr std::size_t kFiles = 3;  // per user; >= detector min_files
 
 // Crash points of the admin's compromise-response pipeline an incident can
 // kill the admin workstation at (faults.h); recovery has its own point.
@@ -29,13 +26,13 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
   report.rounds = options.rounds;
 
   DeploymentOptions dopt;
-  dopt.f = options.f;
   dopt.seed = options.seed;
   dopt.agent.sync_mode = scfs::SyncMode::kBlocking;
-  Deployment dep(dopt);
-  const auto& clock = dep.clock();
-  auto& crash = *dep.crash_schedule();
-  Rng dice(options.seed * 6029 + 31);
+  Soak soak(dopt, options.seed * 6029 + 31);
+  auto& dep = soak.dep();
+  auto& clock = soak.clock();
+  auto& crash = soak.crash();
+  auto& dice = soak.dice();
 
   const std::string victim = "mallory";  // the user whose device is owned
   const std::string honest = "carol";    // a bystander on the same deployment
@@ -43,51 +40,8 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
   dep.add_user(honest);
   const std::vector<std::string> users = {victim, honest};
 
-  auto path_of = [](const std::string& user, std::size_t j) {
-    return "/" + user + "/doc" + std::to_string(j);
-  };
-  // Deterministic honest content: a function of (user, file, round) only, so
-  // the final bytes — and the digest over them — cannot depend on whether an
-  // attacker raced the workload.
-  auto content_of = [](const std::string& user, std::size_t j, std::size_t round) {
-    std::string s = "soak." + user + ".doc" + std::to_string(j) + ".round" +
-                    std::to_string(round) + ".";
-    while (s.size() < 256) s += "payload-";
-    return to_bytes(s);
-  };
   std::vector<std::string> victim_paths;
-  for (std::size_t j = 0; j < options.files; ++j) victim_paths.push_back(path_of(victim, j));
-
-  std::map<std::string, Bytes> expected;  // path -> last honest write
-
-  auto ensure_login = [&](const std::string& user) {
-    if (dep.agent(user).logged_in()) return true;
-    auto st = dep.login_default(user);
-    if (!st.ok()) st = dep.login_with_external(user);
-    if (!st.ok()) return false;
-    ++report.relogins;
-    return true;
-  };
-
-  // Honest writes retry through everything the dice throw at them — outages,
-  // downed replicas, a mid-rotation logout — stepping the virtual clock so
-  // time-bounded faults expire. A write that never lands breaks convergence.
-  auto honest_write = [&](const std::string& user, const std::string& path,
-                          const Bytes& content) {
-    for (int attempt = 0; attempt < 256; ++attempt) {
-      if (ensure_login(user)) {
-        auto st = dep.agent(user).write_file(path, content);
-        if (st.ok()) {
-          ++report.honest_writes;
-          expected[path] = content;
-          return;
-        }
-      }
-      ++report.honest_retries;
-      clock->advance_us(1'000'000);
-    }
-    ++report.write_failures;
-  };
+  for (std::size_t j = 0; j < kFiles; ++j) victim_paths.push_back(Soak::home_path(victim, j));
 
   std::size_t coord_down = 0;  // replica downed for the current round, if any
   // The admin's ground-truth malicious set spans every incident so far: a
@@ -99,7 +53,7 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
     // ---- fault weather for this round ----
     if (dice.next_double() < options.cloud_outage_prob) {
       auto& cloud = *dep.clouds()[dice.next_below(dep.clouds().size())];
-      const auto start = clock->now_us();
+      const auto start = clock.now_us();
       cloud.faults().add_outage(start, start + 5'000'000 +
                                            static_cast<sim::SimClock::Micros>(
                                                dice.next_below(20'000'000)));
@@ -110,9 +64,10 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
     }
 
     // ---- honest workload: each user refreshes one of its files ----
-    const std::size_t j = round % options.files;
+    const std::size_t j = round % kFiles;
     for (const auto& user : users) {
-      honest_write(user, path_of(user, j), content_of(user, j, round));
+      soak.honest_write(user, Soak::home_path(user, j),
+                        Soak::honest_content("soak", user, j, round));
     }
 
     // ---- compromise incident ----
@@ -121,9 +76,9 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
 
       // Put 3 virtual minutes between the honest writes and the burst so the
       // detector's window isolates the attack.
-      clock->advance_us(180'000'000);
+      clock.advance_us(180'000'000);
 
-      if (!ensure_login(victim)) continue;
+      if (!soak.ensure_login(victim)) continue;
       const StolenCredentials loot = steal_credentials(dep, victim);
       // The attacker strikes first: with nothing revoked yet, the loot works.
       report.attack += stolen_credential_attack(dep, loot);
@@ -138,7 +93,7 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
       auto detective = dep.make_recovery_service(victim);
       Result<LogAudit> audit = detective.audit_log();
       for (int attempt = 0; attempt < 64 && !audit.ok(); ++attempt) {
-        clock->advance_us(2'000'000);
+        clock.advance_us(2'000'000);
         audit = detective.audit_log();
       }
       if (!audit.ok()) continue;  // counted below as a failed lockout if real
@@ -166,7 +121,7 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
           ++report.response_crashes;
         } else {
           ++report.response_retries;
-          clock->advance_us(2'000'000);
+          clock.advance_us(2'000'000);
         }
       }
 
@@ -193,7 +148,7 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
         if (recovered.code() == ErrorCode::kCrashed) {
           ++report.recovery_crashes;
         } else {
-          clock->advance_us(2'000'000);
+          clock.advance_us(2'000'000);
         }
       }
     }
@@ -207,37 +162,18 @@ CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options) {
           coord_down, dep.coordination()->checkpoint_replica(0));
       coord_down = 0;
     }
-    clock->advance_us(500'000 + dice.next_below(2'000'000));
+    clock.advance_us(500'000 + dice.next_below(2'000'000));
   }
 
   // Settle: catch up every floor still owed to a recovered cloud, then read
   // every honest file back and compare against the last honest write.
-  clock->advance_us(30'000'000);
+  clock.advance_us(30'000'000);
   report.floors_propagated += dep.propagate_revocations();
-  for (const auto& [path, content] : expected) {
-    const std::string user = path.substr(1, path.find('/', 1) - 1);
-    Result<Bytes> back = Error{ErrorCode::kUnavailable, "never read"};
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      if (ensure_login(user)) {
-        dep.agent(user).fs().clear_cache();
-        back = dep.agent(user).read_file(path);
-        if (back.ok()) break;
-      }
-      clock->advance_us(1'000'000);
-    }
-    if (!back.ok() || *back != content) ++report.read_mismatches;
-  }
+  static_cast<SoakTally&>(report) = soak.settle(users);
 
   report.lockout_held = report.attack.writes_accepted_post_floor == 0 &&
                         report.attack.reads_accepted_post_floor == 0;
   report.converged = report.read_mismatches == 0 && report.write_failures == 0;
-
-  std::string blob;
-  for (const auto& [path, content] : expected) {
-    blob += path + "=>" + to_string(content) + ";";
-  }
-  report.honest_digest = hex_encode(crypto::sha256(to_bytes(blob)));
-  report.total_us = clock->now_us();
   return report;
 }
 

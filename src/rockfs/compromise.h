@@ -18,15 +18,14 @@
 #include <string>
 
 #include "rockfs/attack.h"
+#include "rockfs/soak.h"
 #include "sim/clock.h"
 
 namespace rockfs::core {
 
 struct CompromiseSoakOptions {
   std::size_t rounds = 12;
-  std::size_t files = 3;          // per user; >= detector min_files
   std::uint64_t seed = 2018;
-  std::size_t f = 1;              // clouds and coordination are both 3f+1
   bool attacker = true;           // off = same honest workload, no incidents
   double cloud_outage_prob = 0.2;   // P(round opens an outage at one cloud)
   double coord_fault_prob = 0.2;    // P(round downs one coordination replica)
@@ -35,12 +34,8 @@ struct CompromiseSoakOptions {
   std::size_t incident_every = 4;   // a compromise incident every N rounds
 };
 
-struct CompromiseSoakReport {
+struct CompromiseSoakReport : SoakTally {
   std::size_t rounds = 0;
-  std::size_t honest_writes = 0;
-  std::size_t honest_retries = 0;
-  std::size_t write_failures = 0;   // honest write that never landed (MUST be 0)
-  std::size_t relogins = 0;
   std::size_t incidents = 0;
   std::size_t rotations = 0;
   std::size_t response_crashes = 0;  // admin died mid-response, resumed
@@ -49,16 +44,13 @@ struct CompromiseSoakReport {
   std::size_t files_recovered = 0;
   std::size_t floors_propagated = 0;  // outage clouds caught up by anti-entropy
   StolenCredentialReport attack;      // accumulated across all incidents
-  std::size_t read_mismatches = 0;    // final read-back != last honest write
   bool lockout_held = false;
   bool converged = false;
-  std::string honest_digest;  // sha256 hex over the final honest contents
   sim::SimClock::Micros max_lockout_latency_us = 0;
   sim::SimClock::Micros max_rotation_us = 0;
-  sim::SimClock::Micros total_us = 0;
 };
 
-/// Runs the soak to completion. Deterministic per options; the honest digest
+/// Runs the soak to completion. Deterministic per options; the content digest
 /// depends only on the honest workload, so {attacker: true} and
 /// {attacker: false} with the same seed must produce the same digest.
 CompromiseSoakReport run_compromise_soak(const CompromiseSoakOptions& options);

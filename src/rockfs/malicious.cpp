@@ -1,16 +1,14 @@
 #include "rockfs/malicious.h"
 
 #include <algorithm>
-#include <map>
-
-#include "common/hex.h"
-#include "common/rng.h"
-#include "crypto/sha256.h"
-#include "rockfs/deployment.h"
-#include "sim/faults.h"
 
 namespace rockfs::core {
 namespace {
+
+constexpr std::size_t kFiles = 3;           // per user
+constexpr std::size_t kMaliciousCloud = 2;  // fleet index that turns
+constexpr std::size_t kAttackRound = 4;     // ... at the start of this round
+constexpr double kCrashProb = 0.5;          // P(reconfiguration gets a crash point armed)
 
 constexpr sim::CrashPoint kReconfigPoints[] = {
     sim::CrashPoint::kAfterMembershipManifest,
@@ -24,13 +22,13 @@ MaliciousSoakReport run_malicious_soak(const MaliciousSoakOptions& options) {
   report.rounds = options.rounds;
 
   DeploymentOptions dopt;
-  dopt.f = options.f;
   dopt.seed = options.seed;
   dopt.agent.sync_mode = scfs::SyncMode::kBlocking;
-  Deployment dep(dopt);
-  const auto& clock = dep.clock();
-  auto& crash = *dep.crash_schedule();
-  Rng dice(options.seed * 7121 + 47);
+  Soak soak(dopt, options.seed * 7121 + 47);
+  auto& dep = soak.dep();
+  auto& clock = soak.clock();
+  auto& crash = soak.crash();
+  auto& dice = soak.dice();
 
   const std::string alice = "alice";
   const std::string bob = "bob";
@@ -38,69 +36,12 @@ MaliciousSoakReport run_malicious_soak(const MaliciousSoakOptions& options) {
   dep.add_user(bob);
   const std::vector<std::string> users = {alice, bob};
 
-  auto path_of = [](const std::string& user, std::size_t j) {
-    return "/" + user + "/doc" + std::to_string(j);
-  };
-  // Honest content is a function of (user, file, round) only: the digest at
-  // the end cannot depend on whether a cloud lied along the way.
-  auto content_of = [](const std::string& user, std::size_t j, std::size_t round) {
-    std::string s = "malice." + user + ".doc" + std::to_string(j) + ".round" +
-                    std::to_string(round) + ".";
-    while (s.size() < 256) s += "payload-";
-    return to_bytes(s);
-  };
-  std::map<std::string, Bytes> expected;  // path -> last honest write
-
-  auto ensure_login = [&](const std::string& user) {
-    if (dep.agent(user).logged_in()) return true;
-    auto st = dep.login_default(user);
-    if (!st.ok()) st = dep.login_with_external(user);
-    if (!st.ok()) return false;
-    ++report.relogins;
-    return true;
-  };
-
-  auto honest_write = [&](const std::string& user, const std::string& path,
-                          const Bytes& content) {
-    for (int attempt = 0; attempt < 256; ++attempt) {
-      if (ensure_login(user)) {
-        auto st = dep.agent(user).write_file(path, content);
-        if (st.ok()) {
-          ++report.honest_writes;
-          expected[path] = content;
-          return;
-        }
-      }
-      ++report.honest_retries;
-      clock->advance_us(1'000'000);
-    }
-    ++report.write_failures;
-  };
-
-  // Read back THROUGH DepSky (cache cleared): the masking property is about
-  // what the cloud-of-clouds serves, not what the local cache remembers.
-  auto verify_read = [&](const std::string& user, const std::string& path) {
-    if (!expected.contains(path)) return;
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      if (ensure_login(user)) {
-        dep.agent(user).fs().clear_cache();
-        auto back = dep.agent(user).read_file(path);
-        if (back.ok()) {
-          if (*back != expected[path]) ++report.read_mismatches;
-          return;
-        }
-      }
-      clock->advance_us(1'000'000);
-    }
-    ++report.read_mismatches;  // never readable counts as a serving failure
-  };
-
   std::size_t ops_since_attack = 0;
   sim::SimClock::Micros quarantined_at_us = 0;
 
   for (std::size_t round = 0; round < options.rounds; ++round) {
     // ---- the cloud turns ----
-    if (options.attacker && round == options.attack_round && !report.attacked) {
+    if (options.attacker && round == kAttackRound && !report.attacked) {
       // An equivocating adversary picks its partition to actually diverge:
       // salt chosen so the two honest users land in different view groups.
       std::uint64_t salt = 0;
@@ -110,18 +51,19 @@ MaliciousSoakReport run_malicious_soak(const MaliciousSoakOptions& options) {
           ++salt;
         }
       }
-      dep.clouds().at(options.malicious_cloud)->faults().set_adversarial(
+      dep.clouds().at(kMaliciousCloud)->faults().set_adversarial(
           options.mode,
           options.mode == sim::AdversarialMode::kReplayWindow ? 2'000'000 : 0, salt);
       report.attacked = true;
     }
 
     // ---- honest workload: write one file each, read one back each ----
-    const std::size_t j = round % options.files;
+    const std::size_t j = round % kFiles;
     for (const auto& user : users) {
-      honest_write(user, path_of(user, j), content_of(user, j, round));
+      soak.honest_write(user, Soak::home_path(user, j),
+                        Soak::honest_content("malice", user, j, round));
       if (report.attacked && !report.quarantined) ++ops_since_attack;
-      verify_read(user, path_of(user, (round + 1) % options.files));
+      soak.check_read(user, Soak::home_path(user, (round + 1) % kFiles));
       if (report.attacked && !report.quarantined) ++ops_since_attack;
     }
 
@@ -131,50 +73,49 @@ MaliciousSoakReport run_malicious_soak(const MaliciousSoakOptions& options) {
       if (verdict != Deployment::kNoCloud) {
         report.quarantined = true;
         report.ops_to_quarantine = ops_since_attack;
-        quarantined_at_us = clock->now_us();
+        quarantined_at_us = clock.now_us();
       }
       for (const auto& user : users) {
         const auto storage = dep.agent(user).logged_in() ? dep.agent(user).storage()
                                                          : nullptr;
-        if (storage &&
-            storage->cloud_health(options.malicious_cloud).misbehavior_total() > 0) {
+        if (storage && storage->cloud_health(kMaliciousCloud).misbehavior_total() > 0) {
           report.detected = true;
         }
       }
     }
 
     // ---- eviction: replace the quarantined cloud, crash points and all ----
-    if (report.quarantined && options.reconfigure && !report.reconfigured) {
-      if (dice.next_double() < options.crash_prob) {
+    if (report.quarantined && !report.reconfigured) {
+      if (dice.next_double() < kCrashProb) {
         crash.arm(kReconfigPoints[dice.next_below(std::size(kReconfigPoints))]);
       }
       for (int attempt = 0; attempt < 64; ++attempt) {
-        auto done = dep.reconfigure_cloud(options.malicious_cloud);
+        auto done = dep.reconfigure_cloud(kMaliciousCloud);
         if (done.ok()) {
           report.reconfigured = true;
           report.membership_epoch = done->epoch;
           report.units_migrated += done->units_migrated;
           report.shares_rebuilt += done->shares_rebuilt;
           report.quarantine_to_migrated_us =
-              static_cast<sim::SimClock::Micros>(clock->now_us() - quarantined_at_us);
+              static_cast<sim::SimClock::Micros>(clock.now_us() - quarantined_at_us);
           break;
         }
         if (done.code() == ErrorCode::kCrashed) {
           ++report.reconfig_crashes;
         } else {
           ++report.reconfig_retries;
-          clock->advance_us(2'000'000);
+          clock.advance_us(2'000'000);
         }
       }
     }
 
-    clock->advance_us(500'000 + dice.next_below(2'000'000));
+    clock.advance_us(500'000 + dice.next_below(2'000'000));
   }
 
   // Capture the ledger totals before the final settle (the evicted provider
   // is out of every fleet after a reconfiguration, so ask the live clients).
   for (const auto& user : users) {
-    if (!ensure_login(user)) continue;
+    if (!soak.ensure_login(user)) continue;
     const auto storage = dep.agent(user).storage();
     if (!storage) continue;
     for (std::size_t i = 0; i < storage->n(); ++i) {
@@ -185,33 +126,16 @@ MaliciousSoakReport run_malicious_soak(const MaliciousSoakOptions& options) {
   // Settle: read every honest file back and compare against the last honest
   // write. After a reconfiguration these reads run with the malicious cloud
   // fully removed — they are the post-migration availability check.
-  clock->advance_us(30'000'000);
-  for (const auto& [path, content] : expected) {
-    const std::string user = path.substr(1, path.find('/', 1) - 1);
-    Result<Bytes> back = Error{ErrorCode::kUnavailable, "never read"};
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      if (ensure_login(user)) {
-        dep.agent(user).fs().clear_cache();
-        back = dep.agent(user).read_file(path);
-        if (back.ok()) break;
-      }
-      clock->advance_us(1'000'000);
-    }
-    if (report.reconfigured) {
+  clock.advance_us(30'000'000);
+  static_cast<SoakTally&>(report) = soak.settle(users);
+  if (report.reconfigured) {
+    for (const auto& [path, content] : report.final_contents) {
       ++report.post_reconfig_reads;
-      if (!back.ok()) ++report.post_reconfig_read_failures;
+      if (content == Soak::kUnreadable) ++report.post_reconfig_read_failures;
     }
-    if (!back.ok() || *back != content) ++report.read_mismatches;
   }
 
   report.converged = report.read_mismatches == 0 && report.write_failures == 0;
-
-  std::string blob;
-  for (const auto& [path, content] : expected) {
-    blob += path + "=>" + to_string(content) + ";";
-  }
-  report.honest_digest = hex_encode(crypto::sha256(to_bytes(blob)));
-  report.total_us = clock->now_us();
   return report;
 }
 

@@ -1,5 +1,5 @@
 // Malicious-cloud chaos soak: one deployment, two honest users hammering a
-// shared fleet, and at a chosen round one cloud turns adversarial — it keeps
+// shared fleet, and at round 4 one cloud turns adversarial — it keeps
 // acking writes like an honest provider but serves reads from a frozen (or
 // session-partitioned, or share-withheld) view. The soak then exercises the
 // whole resilience pipeline end to end: the freshness witness catches the
@@ -24,33 +24,21 @@
 #include <string>
 
 #include "rockfs/attack.h"
+#include "rockfs/soak.h"
 #include "sim/clock.h"
 
 namespace rockfs::core {
 
 struct MaliciousSoakOptions {
   std::size_t rounds = 12;
-  std::size_t files = 3;     // per user
   std::uint64_t seed = 2018;
-  std::size_t f = 1;         // clouds and coordination are both 3f+1
   bool attacker = true;      // off = same honest workload, no adversary
   /// How the compromised cloud misbehaves once it turns.
   sim::AdversarialMode mode = sim::AdversarialMode::kRollback;
-  std::size_t malicious_cloud = 2;  // fleet index that turns
-  std::size_t attack_round = 4;     // ... at the start of this round
-  double crash_prob = 0.5;   // P(reconfiguration gets a crash point armed)
-  /// Reconfigure as soon as the quarantine verdict lands (off = soak the
-  /// degraded 3-cloud fleet instead, for the quarantine-only experiments).
-  bool reconfigure = true;
 };
 
-struct MaliciousSoakReport {
+struct MaliciousSoakReport : SoakTally {
   std::size_t rounds = 0;
-  std::size_t honest_writes = 0;
-  std::size_t honest_retries = 0;
-  std::size_t write_failures = 0;    // honest write that never landed (MUST be 0)
-  std::size_t read_mismatches = 0;   // stale/garbled bytes served (MUST be 0)
-  std::size_t relogins = 0;
 
   bool attacked = false;
   bool detected = false;             // misbehavior ledger is non-empty
@@ -71,12 +59,10 @@ struct MaliciousSoakReport {
   std::size_t post_reconfig_read_failures = 0;
 
   bool converged = false;
-  std::string honest_digest;  // sha256 hex over the final honest contents
   sim::SimClock::Micros quarantine_to_migrated_us = 0;  // the MTTR the bench reports
-  sim::SimClock::Micros total_us = 0;
 };
 
-/// Runs the soak to completion. Deterministic per options; the honest digest
+/// Runs the soak to completion. Deterministic per options; the content digest
 /// depends only on the honest workload, so {attacker: true} and
 /// {attacker: false} with the same seed must produce the same digest.
 MaliciousSoakReport run_malicious_soak(const MaliciousSoakOptions& options);

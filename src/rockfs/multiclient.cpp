@@ -1,16 +1,18 @@
 #include "rockfs/multiclient.h"
 
 #include <algorithm>
-#include <utility>
+#include <vector>
 
 #include "common/hex.h"
-#include "common/rng.h"
 #include "crypto/sha256.h"
-#include "rockfs/deployment.h"
-#include "sim/faults.h"
 
 namespace rockfs::core {
 namespace {
+
+constexpr std::size_t kAgents = 3;     // eviction scenarios need a contender
+constexpr std::size_t kPaths = 2;      // shared files under contention
+constexpr double kCrashProb = 0.15;    // P(round crashes at a random close point)
+constexpr double kHangProb = 0.15;     // P(round hangs pre-upload and gets evicted)
 
 // Close-path crash points a dying holder can be killed at (kMidRecoverAll
 // belongs to the recovery service, not the client close path).
@@ -47,72 +49,57 @@ MultiClientReport run_multiclient_soak(const MultiClientOptions& options) {
   MultiClientReport report;
 
   DeploymentOptions dopt;
-  dopt.f = options.f;
   dopt.seed = options.seed;
   dopt.agent.sync_mode = scfs::SyncMode::kBlocking;
   dopt.agent.lease_ttl_us = options.lease_ttl_us;
-  dopt.agent.fencing = true;
   dopt.agent.enable_cache = options.client_cache;
   dopt.agent.writeback.enabled = options.write_back;
   dopt.executor_threads = options.executor_threads;
-  Deployment dep(dopt);
+  Soak soak(dopt, options.seed * 7919 + 17);
+  auto& dep = soak.dep();
+  auto& clock = soak.clock();
+  auto& crash = soak.crash();
+  auto& dice = soak.dice();
   if (options.byzantine_coord_replica && dep.coordination()->replica_count() > 1) {
     dep.coordination()->replica(1).set_byzantine(true);
   }
 
   std::vector<std::string> users;
-  for (std::size_t i = 0; i < options.agents; ++i) {
+  for (std::size_t i = 0; i < kAgents; ++i) {
     users.push_back("u" + std::to_string(i));
     dep.add_user(users.back());
   }
   std::vector<std::string> paths;
-  for (std::size_t i = 0; i < options.paths; ++i) {
+  for (std::size_t i = 0; i < kPaths; ++i) {
     paths.push_back("/shared/doc" + std::to_string(i));
   }
-
-  auto& crash = *dep.crash_schedule();
-  const auto& clock = dep.clock();
-  Rng dice(options.seed * 7919 + 17);
-
-  // Token ledger: (path, token) pairs with a post-hoc containment check.
-  std::vector<std::pair<std::string, std::string>> required;
-  std::vector<std::pair<std::string, std::string>> forbidden;
-
-  auto ensure_login = [&](const std::string& user) {
-    if (dep.agent(user).logged_in()) return true;
-    if (!dep.login_default(user).ok()) return false;
-    ++report.relogins;
-    return true;
-  };
 
   // Spin on kConflict until the lease is ours. A conflict in the serialized
   // sim means the holder is dead (crashed or hung) — its lease expires
   // within one TTL, so stepping the clock by TTL/4 per retry acquires in
   // bounded time. max_blocked_us records the worst spin (the wedge bound).
   auto acquire = [&](RockFsAgent& agent, const std::string& path) {
-    const auto start = clock->now_us();
+    const auto start = clock.now_us();
     for (int tries = 0; tries < 64; ++tries) {
       auto st = agent.lock(path);
       if (st.ok()) {
         if (tries > 0) {
           ++report.lock_waits;
           ++report.evictions;  // a conflicting holder can only be evicted
-          report.max_blocked_us =
-              std::max(report.max_blocked_us, clock->now_us() - start);
+          report.max_blocked_us = std::max(report.max_blocked_us, clock.now_us() - start);
         }
         return true;
       }
       if (st.code() != ErrorCode::kConflict) return false;
-      clock->advance_us(std::max<sim::SimClock::Micros>(options.lease_ttl_us / 4,
-                                                        100'000));
+      clock.advance_us(std::max<sim::SimClock::Micros>(options.lease_ttl_us / 4, 100'000));
     }
     return false;
   };
 
   for (std::size_t round = 0; round < options.rounds; ++round) {
-    const std::size_t ai = dice.next_below(options.agents);
+    const std::size_t ai = dice.next_below(kAgents);
     const std::string& user = users[ai];
-    if (!ensure_login(user)) continue;
+    if (!soak.ensure_login(user)) continue;
     auto& agent = dep.agent(user);
     const std::string& path = paths[dice.next_below(paths.size())];
     const std::string token = "[" + user + ".r" + std::to_string(round) + "]";
@@ -121,7 +108,7 @@ MultiClientReport run_multiclient_soak(const MultiClientOptions& options) {
     if (!acquire(agent, path)) continue;
     ++report.writes_attempted;
 
-    if (fate < options.crash_prob) {
+    if (fate < kCrashProb) {
       // The holder dies mid-close at a random pipeline point; its lease
       // stays held until TTL expiry (contenders must wait, never wedge).
       crash.arm(kClosePoints[dice.next_below(std::size(kClosePoints))]);
@@ -132,24 +119,22 @@ MultiClientReport run_multiclient_soak(const MultiClientOptions& options) {
         // "maybe" token: journal replay at the next login may adopt the
         // intent (if nobody moved the epoch) or discard it — both legal.
       } else if (st.ok()) {
-        required.emplace_back(path, token);
+        soak.expect_contains(path, token);
         ++report.writes_committed;
         (void)agent.unlock(path);
       }
-    } else if (fate < options.crash_prob + options.hang_prob &&
-               options.agents > 1) {
+    } else if (fate < kCrashProb + kHangProb) {
       // The holder stalls pre-upload (kBeforeFilePut: nothing durable yet)
       // past its TTL; the hook interleaves a contender who evicts the
       // holder and commits its own write. The resumed close must fence.
-      const std::size_t bi =
-          (ai + 1 + dice.next_below(options.agents - 1)) % options.agents;
+      const std::size_t bi = (ai + 1 + dice.next_below(kAgents - 1)) % kAgents;
       const std::string contender_token =
           "[" + users[bi] + ".r" + std::to_string(round) + ".evict]";
       bool contender_committed = false;
       crash.arm_hang(sim::CrashPoint::kBeforeFilePut,
                      static_cast<sim::SimClock::Micros>(options.lease_ttl_us) * 2);
       crash.set_hang_hook([&] {
-        if (!ensure_login(users[bi])) return;
+        if (!soak.ensure_login(users[bi])) return;
         auto& contender = dep.agent(users[bi]);
         if (!contender.lock(path).ok()) return;  // lost the takeover race
         ++report.evictions;
@@ -162,74 +147,45 @@ MultiClientReport run_multiclient_soak(const MultiClientOptions& options) {
       crash.set_hang_hook(nullptr);
       crash.disarm_hang();
       if (contender_committed) {
-        required.emplace_back(path, contender_token);
+        soak.expect_contains(path, contender_token);
         ++report.writes_committed;
       }
       if (st.code() == ErrorCode::kFenced) {
         ++report.writes_fenced;
-        forbidden.emplace_back(path, token);
+        soak.expect_absent(path, token);
       } else if (st.ok()) {
         // Contender failed to evict (lost the race) — the close sailed
         // through unfenced, so the token must survive like any commit.
-        required.emplace_back(path, token);
+        soak.expect_contains(path, token);
         ++report.writes_committed;
       }
       (void)agent.unlock(path);  // kConflict after an eviction; ignore
     } else {
       auto st = append_token(agent, path, token);
       if (st.ok()) {
-        required.emplace_back(path, token);
+        soak.expect_contains(path, token);
         ++report.writes_committed;
         (void)agent.unlock(path);
       }
     }
 
-    clock->advance_us(100'000 + dice.next_below(2'000'000));
+    clock.advance_us(100'000 + dice.next_below(2'000'000));
   }
 
   // Settle: let every stale lease expire, then land one clean write per
   // path so crashed intents are either adopted or fenced out by now.
-  clock->advance_us(static_cast<sim::SimClock::Micros>(options.lease_ttl_us) * 2);
+  clock.advance_us(static_cast<sim::SimClock::Micros>(options.lease_ttl_us) * 2);
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!ensure_login(users[0])) break;
+    if (!soak.ensure_login(users[0])) break;
     auto& agent = dep.agent(users[0]);
     if (!acquire(agent, paths[i])) continue;
     const std::string token = "[settle." + std::to_string(i) + "]";
-    if (append_token(agent, paths[i], token).ok()) {
-      required.emplace_back(paths[i], token);
-    }
+    if (append_token(agent, paths[i], token).ok()) soak.expect_contains(paths[i], token);
     (void)agent.unlock(paths[i]);
   }
 
   // Every agent reads every path; all views must agree byte-for-byte.
-  for (const auto& path : paths) {
-    std::vector<std::string> views;
-    for (const auto& user : users) {
-      if (!ensure_login(user)) continue;
-      auto& agent = dep.agent(user);
-      agent.fs().clear_cache();
-      auto content = agent.read_file(path);
-      views.push_back(content.ok() ? to_string(*content) : "<unreadable>");
-    }
-    for (const auto& view : views) {
-      if (view != views.front()) {
-        ++report.divergent_reads;
-        break;
-      }
-    }
-    if (!views.empty()) report.final_contents[path] = views.front();
-  }
-
-  for (const auto& [path, token] : required) {
-    if (report.final_contents[path].find(token) == std::string::npos) {
-      ++report.lost_updates;
-    }
-  }
-  for (const auto& [path, token] : forbidden) {
-    if (report.final_contents[path].find(token) != std::string::npos) {
-      ++report.zombie_updates;
-    }
-  }
+  static_cast<SoakTally&>(report) = soak.settle(users);
 
   std::string blob;
   blob += "attempted=" + std::to_string(report.writes_attempted);
@@ -243,13 +199,10 @@ MultiClientReport run_multiclient_soak(const MultiClientOptions& options) {
   blob += ";lost=" + std::to_string(report.lost_updates);
   blob += ";zombies=" + std::to_string(report.zombie_updates);
   blob += ";divergent=" + std::to_string(report.divergent_reads);
-  std::string content_blob;
   for (const auto& [path, content] : report.final_contents) {
     blob += ";" + path + "=>" + content;
-    content_blob += path + "=>" + content + "\n";
   }
   report.digest = hex_encode(crypto::sha256(to_bytes(blob)));
-  report.content_digest = hex_encode(crypto::sha256(to_bytes(content_blob)));
   return report;
 }
 

@@ -1,35 +1,29 @@
-// Multi-client soak harness: N agents sharing one deployment (one virtual
-// clock, one coordination service, one cloud-of-clouds) hammer a small set
-// of shared paths through the lease/fencing machinery. Per-round dice pick
+// Multi-client soak harness: three agents sharing one deployment (one
+// virtual clock, one coordination service, one cloud-of-clouds) hammer two
+// shared paths through the lease/fencing machinery. Per-round dice pick
 // an agent and a fate — a clean locked write, a crash at one of the close
 // pipeline's crash points (the holder dies with the lease), or a mid-close
 // hang long enough for a contender to evict the holder and write (the
-// resumed close must then fence). The harness keeps a token ledger: every
-// committed write's token MUST appear in the final content (no lost
-// update), every fenced write's token MUST NOT (no zombie write), and a
-// crashed write MAY (journal replay adopts durable intents). The report's
-// digest covers the full outcome so two same-seed runs can be compared for
-// determinism.
+// resumed close must then fence). The soak engine's ledger (soak.h) checks
+// the outcome: every committed write's token MUST appear in the final
+// content (no lost update), every fenced write's token MUST NOT (no zombie
+// write), and a crashed write MAY (journal replay adopts durable intents).
+// The report's digest covers the full outcome so two same-seed runs can be
+// compared for determinism.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
+#include "rockfs/soak.h"
 #include "sim/clock.h"
 
 namespace rockfs::core {
 
 struct MultiClientOptions {
-  std::size_t agents = 3;         // N >= 2 (eviction scenarios need a contender)
-  std::size_t paths = 2;          // shared files under contention
   std::size_t rounds = 40;        // write attempts across all agents
   std::uint64_t seed = 2018;      // deployment + dice seed
-  std::size_t f = 1;              // cloud/coordination fault bound
   std::int64_t lease_ttl_us = 5'000'000;
-  double crash_prob = 0.15;       // P(round crashes at a random close point)
-  double hang_prob = 0.15;        // P(round hangs pre-upload and gets evicted)
   /// Marks one coordination replica Byzantine for the whole soak (masked by
   /// the 3f+1 quorum; lease CAS must still never grant two holders).
   bool byzantine_coord_replica = false;
@@ -44,24 +38,15 @@ struct MultiClientOptions {
   std::size_t executor_threads = 0;
 };
 
-struct MultiClientReport {
+struct MultiClientReport : SoakTally {
   std::size_t writes_attempted = 0;
   std::size_t writes_committed = 0;  // close OK — token must survive
   std::size_t writes_fenced = 0;     // close kFenced — token must NOT survive
   std::size_t writes_crashed = 0;    // close kCrashed — token may survive
   std::size_t evictions = 0;         // contender took over an expired lease
-  std::size_t relogins = 0;          // sessions restarted after a crash
   std::size_t lock_waits = 0;        // acquisitions that had to spin on kConflict
   sim::SimClock::Micros max_blocked_us = 0;  // longest spin (wedge bound)
-  std::size_t lost_updates = 0;      // committed token missing from final bytes
-  std::size_t zombie_updates = 0;    // fenced token present in final bytes
-  std::size_t divergent_reads = 0;   // agents disagreeing on final content
-  std::map<std::string, std::string> final_contents;  // path -> final bytes
   std::string digest;  // sha256 over counters + final contents (determinism)
-  /// sha256 over final contents ONLY: invariant across configurations that
-  /// may legally shift counters/timing (cache on/off, thread counts) but
-  /// must converge to the same bytes.
-  std::string content_digest;
 
   bool converged() const {
     return lost_updates == 0 && zombie_updates == 0 && divergent_reads == 0;

@@ -37,9 +37,9 @@
 
 namespace rockfs::scfs {
 
-/// Sentinel epoch meaning "this write opted out of fencing" (fencing
-/// disabled, or a writer — like the recovery admin — that locks nothing and
-/// must never be fenced). Compares greater than every real epoch, so the
+/// Sentinel epoch for LogService writes that hold no lease and must never be
+/// fenced: the recovery admin's chain, the unlink ("delete") append and the
+/// rotation record. Compares greater than every real epoch, so the
 /// `lease_epoch > write_epoch` fence test is vacuously false for it.
 inline constexpr std::uint64_t kNoFenceEpoch = ~std::uint64_t{0};
 

@@ -383,19 +383,16 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
   // when the lease epoch already moved past this writer. A hang at the crash
   // point above models exactly the stall (GC pause, partition) after which
   // an evicted client would otherwise clobber its successor.
-  if (job.write_epoch != kNoFenceEpoch) {
-    auto fence = read_fence_epoch(*coordination_, job.path);
-    r.local += fence.delay;
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
-    if (fence.value.ok() && *fence.value > job.write_epoch) {
-      close_fenced_->add();
-      r.status = {ErrorCode::kFenced,
-                  "scfs: fenced: " + job.path + " epoch moved past writer"};
-      return r;
-    }
-    // A failed fence read is not a license to commit blind; the commit-side
-    // check (log append / pre-inode) settles it.
+  auto preflight = read_fence_epoch(*coordination_, job.path);
+  r.local += preflight.delay;
+  span.charge_child(static_cast<std::uint64_t>(preflight.delay));
+  if (preflight.value.ok() && *preflight.value > job.write_epoch) {
+    close_fenced_->add();
+    r.status = {ErrorCode::kFenced, "scfs: fenced: " + job.path + " epoch moved past writer"};
+    return r;
   }
+  // A failed fence read is not a license to commit blind; the commit-side
+  // check (log append / pre-inode) settles it.
 
   if (cache_) {
     cache_->put_data(job.path,
@@ -446,13 +443,13 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
     r.pipeline = std::max(r.pipeline, extra.delay) +
                  static_cast<sim::SimClock::Micros>(options_.uplink_contention *
                                                     static_cast<double>(shorter));
-  } else if (job.write_epoch != kNoFenceEpoch) {
+  } else {
     // No log pipeline to carry the commit-side fence check: do it here,
     // after the crash point above (whose hang is the eviction window),
-    // before the inode moves.
+    // before the inode moves. Its delay rides r.pipeline, which the span
+    // charges once below.
     auto fence = read_fence_epoch(*coordination_, job.path);
     r.pipeline += fence.delay;  // serialized after the upload
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
     if (!fence.value.ok()) {
       // Fail closed: without a quorum read of the lease we cannot prove the
       // epoch still admits this writer, and the inode commit needs the
@@ -485,7 +482,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
   s.size = job.content.size();
   s.owner = options_.user_id;
   s.modified_us = clock_->now_us();
-  s.epoch = job.write_epoch == kNoFenceEpoch ? job.stamp_epoch : job.write_epoch;
+  s.epoch = job.write_epoch;
   auto meta = coordination_->replace(inode_pattern(job.path), inode_tuple(s));
   span.charge_child(static_cast<std::uint64_t>(meta.delay));
   r.meta = meta.delay;
@@ -551,14 +548,10 @@ sim::Timed<Status> Scfs::close_timed(Fd fd) {
 
   // Fencing epoch of this write: the held lease's epoch when the caller
   // locked the path, else the epoch observed at open (an advisory writer
-  // stays fenceable once the path has ever been locked). kNoFenceEpoch
-  // disables the checks entirely (the PR 3 close path).
-  std::uint64_t write_epoch = kNoFenceEpoch;
-  if (options_.fencing) {
-    write_epoch = of.epoch;
-    if (const auto held = held_leases_.find(of.path); held != held_leases_.end()) {
-      write_epoch = held->second;
-    }
+  // stays fenceable once the path has ever been locked).
+  std::uint64_t write_epoch = of.epoch;
+  if (const auto held = held_leases_.find(of.path); held != held_leases_.end()) {
+    write_epoch = held->second;
   }
 
   // Cross-user base: the version we opened was written by someone else,
@@ -606,7 +599,6 @@ sim::Timed<Status> Scfs::close_timed(Fd fd) {
   job.content = std::move(of.content);
   job.new_version = new_version;
   job.write_epoch = write_epoch;
-  job.stamp_epoch = of.epoch;
   auto r = commit_job(job, span);
 
   if (!r.committed) {
@@ -655,7 +647,6 @@ Status Scfs::flush_path(const std::string& path) {
   job.content = entry->content;
   job.new_version = entry->base_version + 1;
   job.write_epoch = entry->write_epoch;
-  job.stamp_epoch = entry->stamp_epoch;
   auto r = commit_job(job, span);
   const auto total = r.local + r.pipeline + r.meta;
   clock_->advance_us(total);

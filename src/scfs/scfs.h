@@ -93,10 +93,6 @@ struct ScfsOptions {
   /// Lease TTL in virtual time; an expired lease is evictable by any
   /// contender (see scfs/lease.h).
   std::int64_t lease_ttl_us = 30'000'000;
-  /// Fencing: closes stamp the writer's epoch into the metadata and refuse
-  /// commit (kFenced) when the path's lease epoch has moved past it. Off =
-  /// the PR 3 close path, byte-for-byte (bench baseline).
-  bool fencing = true;
   /// Local client-side costs (charged in both modes).
   std::int64_t local_op_cost_us = 1'500;         // syscall + agent bookkeeping
   double local_disk_bytes_per_sec = 150e6;       // cache (SSD) throughput
@@ -113,9 +109,9 @@ class Scfs {
 
   /// Called at close with (path, previous content, new content, new version,
   /// fencing epoch); its delay is overlapped with the file upload (parallel
-  /// pipelines). The epoch is the writer's fencing epoch for this close
-  /// (kNoFenceEpoch when fencing is disabled): RockFS stamps it into the
-  /// log-entry metadata lm_fu and refuses the commit when stale.
+  /// pipelines). The epoch is the writer's fencing epoch for this close:
+  /// RockFS stamps it into the log-entry metadata lm_fu and refuses the
+  /// commit when stale.
   using CloseInterceptor = std::function<sim::Timed<Status>(
       const std::string& path, const Bytes& old_content, const Bytes& new_content,
       std::uint64_t new_version, std::uint64_t epoch)>;
@@ -255,8 +251,7 @@ class Scfs {
     Bytes log_base;       // cross-user rule already applied
     Bytes content;
     std::uint64_t new_version = 0;
-    std::uint64_t write_epoch = kNoFenceEpoch;
-    std::uint64_t stamp_epoch = 0;  // inode epoch when unfenced
+    std::uint64_t write_epoch = 0;  // fencing epoch, stamped into the inode
   };
   struct CommitResult {
     Status status;

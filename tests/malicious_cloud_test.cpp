@@ -280,7 +280,7 @@ TEST(MaliciousSoak, ConvergesWithDigestEquivalenceAcrossSeeds) {
 
     EXPECT_TRUE(baseline.converged) << "seed " << seed;
     EXPECT_FALSE(baseline.quarantined) << "seed " << seed;
-    EXPECT_EQ(attacked.honest_digest, baseline.honest_digest) << "seed " << seed;
+    EXPECT_EQ(attacked.content_digest, baseline.content_digest) << "seed " << seed;
   }
 }
 
@@ -296,7 +296,7 @@ TEST(MaliciousSoak, EquivocatingCloudIsAlsoEvicted) {
 
   MaliciousSoakOptions baseline = opts;
   baseline.attacker = false;
-  EXPECT_EQ(run_malicious_soak(baseline).honest_digest, report.honest_digest);
+  EXPECT_EQ(run_malicious_soak(baseline).content_digest, report.content_digest);
 }
 
 }  // namespace

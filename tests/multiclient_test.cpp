@@ -214,8 +214,6 @@ TEST(MultiClientSoak, ConvergesDeterministicallyPerSeed) {
   for (std::uint64_t seed : {7u, 21u, 2018u}) {
     MultiClientOptions options;
     options.seed = seed;
-    options.agents = 3;
-    options.paths = 2;
     options.rounds = 24;
     options.lease_ttl_us = kTtl;
     const auto first = run_multiclient_soak(options);
@@ -244,8 +242,6 @@ TEST(MultiClientSoak, ConvergesDeterministicallyPerSeed) {
 TEST(MultiClientSoak, SurvivesByzantineCoordinationReplica) {
   MultiClientOptions options;
   options.seed = 11;
-  options.agents = 3;
-  options.paths = 2;
   options.rounds = 16;
   options.lease_ttl_us = kTtl;
   options.byzantine_coord_replica = true;

@@ -502,7 +502,7 @@ TEST(Revocation, SoakLockoutHoldsAndHonestContentConverges) {
     EXPECT_TRUE(baseline.converged);
     // The attacker raced revocation the whole way and changed nothing about
     // the honest content.
-    EXPECT_EQ(attacked.honest_digest, baseline.honest_digest);
+    EXPECT_EQ(attacked.content_digest, baseline.content_digest);
   }
 }
 

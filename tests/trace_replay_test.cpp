@@ -91,36 +91,41 @@ TEST(TraceReplay, DumpContainsTheExpectedSpanVocabulary) {
 
 // The fig5 acceptance criterion, as a test: for a blocking-mode close, the
 // sum of exclusive span durations under the scfs.close root must equal the
-// measured close latency within 1%.
+// measured close latency within 1% — with the RockFS log pipeline and
+// without it (the plain-SCFS close, whose fence check SCFS runs itself).
 TEST(TraceReplay, ExclusiveDurationsReconcileWithCloseLatency) {
-  obs::metrics().reset();
-  obs::tracer().reset();
-  obs::tracer().set_capacity(obs::Tracer::kDefaultCapacity);
+  for (const bool logging : {true, false}) {
+    SCOPED_TRACE(logging ? "logging on" : "logging off");
+    obs::metrics().reset();
+    obs::tracer().reset();
+    obs::tracer().set_capacity(obs::Tracer::kDefaultCapacity);
 
-  core::DeploymentOptions opts;
-  opts.seed = 7;
-  opts.agent.sync_mode = scfs::SyncMode::kBlocking;
-  core::Deployment dep(opts);
-  auto& agent = dep.add_user("alice");
-  Rng rng(99);
-  agent.write_file("/f.dat", rng.next_bytes(1 << 20)).expect("write");
+    core::DeploymentOptions opts;
+    opts.seed = 7;
+    opts.agent.sync_mode = scfs::SyncMode::kBlocking;
+    opts.agent.enable_logging = logging;
+    core::Deployment dep(opts);
+    auto& agent = dep.add_user("alice");
+    Rng rng(99);
+    agent.write_file("/f.dat", rng.next_bytes(1 << 20)).expect("write");
 
-  auto fd = agent.open("/f.dat");
-  fd.expect("open");
-  agent.append(*fd, rng.next_bytes(300 << 10)).expect("append");
-  auto closed = agent.close_timed(*fd);
-  closed.value.expect("close");
-  ASSERT_GT(closed.delay, 0);
+    auto fd = agent.open("/f.dat");
+    fd.expect("open");
+    agent.append(*fd, rng.next_bytes(300 << 10)).expect("append");
+    auto closed = agent.close_timed(*fd);
+    closed.value.expect("close");
+    ASSERT_GT(closed.delay, 0);
 
-  const auto events = obs::tracer().events();
-  std::uint64_t root_id = 0;
-  for (const auto& e : events) {
-    if (e.name == "scfs.close" && e.id > root_id) root_id = e.id;
+    const auto events = obs::tracer().events();
+    std::uint64_t root_id = 0;
+    for (const auto& e : events) {
+      if (e.name == "scfs.close" && e.id > root_id) root_id = e.id;
+    }
+    ASSERT_NE(root_id, 0u);
+    const std::uint64_t exclusive = obs::reconcile_exclusive_us(events, root_id);
+    const double measured = static_cast<double>(closed.delay);
+    EXPECT_NEAR(static_cast<double>(exclusive), measured, measured * 0.01);
   }
-  ASSERT_NE(root_id, 0u);
-  const std::uint64_t exclusive = obs::reconcile_exclusive_us(events, root_id);
-  const double measured = static_cast<double>(closed.delay);
-  EXPECT_NEAR(static_cast<double>(exclusive), measured, measured * 0.01);
 }
 
 }  // namespace
