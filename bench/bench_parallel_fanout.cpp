@@ -7,9 +7,9 @@
 // branch (DepSkyConfig::emulate_latency), so the measurement captures the
 // two effects the executor exists for:
 //   * the four per-cloud puts overlap instead of accumulating, and
-//   * the kFirstQuorum join returns at the (n-f)-th ack and cancels the
+//   * the first-quorum join returns at the (n-f)-th ack and cancels the
 //     tail-latency straggler mid-sleep instead of waiting it out.
-// The sequential baseline (no executor, kBarrier) sleeps through every
+// The sequential baseline (no executor: a barrier join) sleeps through every
 // branch back-to-back — the pre-PR behaviour. Expected speedup at n = 4 with
 // the tail armed is well above the 2x acceptance floor.
 //
@@ -67,10 +67,9 @@ Harness make_harness(bool parallel, std::uint64_t seed) {
   cfg.f = 1;
   cfg.protocol = depsky::Protocol::kCA;
   cfg.writer = crypto::generate_keypair(drbg);
-  if (parallel) {
-    cfg.executor = std::make_shared<common::ThreadPool>(kClouds);
-    cfg.join_mode = common::JoinMode::kFirstQuorum;
-  }
+  // A pool plus latency emulation makes the quorum joins first-quorum; the
+  // sequential baseline (no pool) joins as a barrier.
+  if (parallel) cfg.executor = std::make_shared<common::ThreadPool>(kClouds);
   cfg.emulate_latency = [](sim::SimClock::Micros virtual_us,
                            const common::CancelToken& cancel) {
     cancel.sleep_for(std::chrono::microseconds(virtual_us / kScale + 1));

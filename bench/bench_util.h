@@ -6,8 +6,10 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,14 +30,37 @@ struct BenchArgs {
   bool quick = false; // CI-sized sweep
   std::string metrics_json;  // if set, dump registry + trace JSON here at exit
 
+  /// Exits 2 with usage on stderr for an unknown flag, a flag missing its
+  /// value, or a --reps that is not a positive integer.
   static BenchArgs parse(int argc, char** argv) {
+    const auto usage = [&](const std::string& problem) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], problem.c_str());
+      std::fprintf(stderr, "usage: %s [--quick] [--full] [--reps <n>] [--metrics-json <path>]\n",
+                   argv[0]);
+      std::exit(2);
+    };
+    const auto value = [&](int& i) -> std::string {
+      if (i + 1 >= argc) usage(std::string(argv[i]) + " needs a value");
+      return argv[++i];
+    };
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a == "--full") args.full = true;
-      if (a == "--quick") args.quick = true;
-      if (a == "--reps" && i + 1 < argc) args.reps = std::atoi(argv[++i]);
-      if (a == "--metrics-json" && i + 1 < argc) args.metrics_json = argv[++i];
+      if (a == "--full") {
+        args.full = true;
+      } else if (a == "--quick") {
+        args.quick = true;
+      } else if (a == "--reps") {
+        const std::string s = value(i);
+        const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), args.reps);
+        if (ec != std::errc() || end != s.data() + s.size() || args.reps < 1) {
+          usage("bad --reps '" + s + "'");
+        }
+      } else if (a == "--metrics-json") {
+        args.metrics_json = value(i);
+      } else {
+        usage("unknown argument '" + a + "'");
+      }
     }
     return args;
   }

@@ -1,21 +1,22 @@
 // Real execution for the simulated stack: a fixed thread pool with
 // submit()/Future, cooperative cancellation, and first-(n-f) quorum joins.
 //
-// The DepSky hot path fans per-cloud operations out on an Executor. Two join
-// disciplines exist (JoinMode):
+// The DepSky hot path fans per-cloud operations out on an Executor and joins
+// them with a QuorumJoin, in one of two disciplines:
 //
-//   kBarrier     — every launched branch completes before the join returns;
+//   barrier      — every launched branch completes before the join returns;
 //                  operation *completion time* is then composed from the
 //                  branches' virtual delays (sim/timed.h quorum_delay), so a
 //                  seeded run is byte-identical whether the branches executed
 //                  sequentially or on N threads. This is the deterministic
-//                  mode every test oracle relies on.
-//   kFirstQuorum — the join freezes its included set at the quorum-th
+//                  discipline every test oracle relies on.
+//   first-quorum — the join freezes its included set at the quorum-th
 //                  wall-clock success and cancels the stragglers (their
 //                  emulated I/O sleeps are interrupted; the residual compute
 //                  drains in the background before the join returns, so no
-//                  caller memory can dangle). Wall-clock optimal; used by the
-//                  latency-emulating benches, never by the determinism suite.
+//                  caller memory can dangle). Wall-clock optimal. DepSky
+//                  picks it only when wall-clock latency is emulated on a
+//                  multi-thread pool, i.e. in the latency-emulating benches.
 //
 // A straggler that "lands" after the freeze keeps its result out of the
 // included set — callers must account (metrics, acks) only over included
@@ -38,9 +39,6 @@
 #include <vector>
 
 namespace rockfs::common {
-
-/// How a fan-out completes (see file header).
-enum class JoinMode { kBarrier, kFirstQuorum };
 
 /// Shared cooperative-cancellation flag. Copies refer to the same state.
 /// cancel() wakes every sleep_for() immediately.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "crypto/aes.h"
@@ -14,43 +15,6 @@
 namespace rockfs::depsky {
 
 namespace {
-
-// Runs body(j, cancel) for j in [0, count) — inline when `exec` is null or
-// serial, else on the pool — and returns the QuorumJoin snapshot. The same
-// join/trace machinery executes either way: per-branch spans land in
-// TaskTrace buffers spliced back in branch-index order after the join, so a
-// seeded run's trace dump is byte-identical at any thread count. `goal` only
-// arms the first-quorum freeze in kFirstQuorum mode; kBarrier includes every
-// branch.
-template <typename T, typename Body, typename Ok>
-typename common::QuorumJoin<T>::Snapshot fan_out(common::Executor* exec,
-                                                 common::JoinMode mode,
-                                                 std::size_t count, std::size_t goal,
-                                                 Body&& body, Ok&& ok) {
-  std::vector<obs::TaskTrace> traces;
-  traces.reserve(count);
-  for (std::size_t j = 0; j < count; ++j) traces.push_back(obs::tracer().make_task());
-  common::InlineExecutor inline_exec;
-  common::Executor& where =
-      (exec != nullptr && exec->concurrency() > 1) ? *exec : inline_exec;
-  const std::size_t armed_goal = mode == common::JoinMode::kFirstQuorum ? goal : 0;
-  common::QuorumJoin<T> join(count, armed_goal);
-  for (std::size_t j = 0; j < count; ++j) {
-    join.launch(
-        where, j,
-        [j, &body, &traces](const common::CancelToken& cancel) {
-          obs::TaskBinding bind(&traces[j]);
-          return body(j, cancel);
-        },
-        ok);
-  }
-  auto snap = join.wait();
-  obs::tracer().splice(traces);
-  for (const std::exception_ptr& err : snap.errors) {
-    if (err) std::rethrow_exception(err);
-  }
-  return snap;
-}
 
 // Per-cloud share blob for protocol CA: erasure shard + Shamir key share.
 Bytes encode_ca_blob(BytesView shard, const secretshare::ShamirShare& key_share) {
@@ -226,6 +190,87 @@ sim::Timed<Status> DepSkyClient::guarded_put(std::size_t i, const cloud::AccessT
   return timed;
 }
 
+template <typename ProbeFn, typename OkFn, typename IngestFn>
+std::vector<sim::SimClock::Micros> DepSkyClient::quorum_round(std::size_t goal,
+                                                              ProbeFn&& probe, OkFn&& ok,
+                                                              IngestFn&& ingest) {
+  using Probe = std::invoke_result_t<ProbeFn&, std::size_t, std::uint64_t,
+                                     const common::CancelToken&>;
+  std::vector<sim::SimClock::Micros> delays;
+  std::size_t successes = 0;
+  const auto take = [&](std::size_t i, Probe&& result) {
+    delays.push_back(result.delay);
+    if (ok(result)) ++successes;
+    ingest(i, std::move(result));
+  };
+
+  const auto contacted = contact_set();
+  // Jitter seeds pre-drawn in contact order: the stream consumed is the same
+  // whether the branches then run inline or on N pool threads.
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(contacted.size());
+  for (std::size_t j = 0; j < contacted.size(); ++j) seeds.push_back(backoff_rng_.next_u64());
+
+  // Round one. Per-branch spans land in TaskTrace buffers spliced back in
+  // branch order after the join, so a seeded trace dump is byte-identical at
+  // any thread count. The join freezes at the goal-th wall-clock success
+  // (cancelling stragglers) only when latency is emulated on a multi-thread
+  // pool — the one setup where waiting costs real time; everywhere else it
+  // is a barrier and completion is composed from virtual delays alone.
+  common::Executor* pool = config_.executor.get();
+  const bool pooled = pool != nullptr && pool->concurrency() > 1;
+  common::InlineExecutor inline_exec;
+  common::Executor& where = pooled ? *pool : inline_exec;
+  std::vector<obs::TaskTrace> traces;
+  traces.reserve(contacted.size());
+  for (std::size_t j = 0; j < contacted.size(); ++j) traces.push_back(obs::tracer().make_task());
+  common::QuorumJoin<Probe> join(contacted.size(),
+                                 pooled && config_.emulate_latency ? goal : 0);
+  for (std::size_t j = 0; j < contacted.size(); ++j) {
+    join.launch(
+        where, j,
+        [&, j](const common::CancelToken& cancel) {
+          obs::TaskBinding bind(&traces[j]);
+          return probe(contacted[j], seeds[j], cancel);
+        },
+        ok);
+  }
+  auto round = join.wait();
+  obs::tracer().splice(traces);
+  for (const std::exception_ptr& err : round.errors) {
+    if (err) std::rethrow_exception(err);
+  }
+  // Ingest in ascending contact order, counting only included branches — a
+  // straggler landing after a first-quorum freeze contributes nothing (no
+  // ack, no put.data.{bytes,acks}: the double-count property's invariant).
+  for (std::size_t j = 0; j < contacted.size(); ++j) {
+    if (round.included[j] && round.results[j].has_value()) {
+      take(contacted[j], std::move(*round.results[j]));
+    }
+  }
+
+  // Degraded fallback: if round one missed the goal and the breaker held
+  // clouds back, conscript them as forced probes, one at a time after round
+  // one completes. Quarantined clouds are never conscripted.
+  if (successes < goal && contacted.size() < n()) {
+    const auto round1 = sim::parallel_delay(delays);
+    const common::CancelToken no_cancel;
+    for (std::size_t i = 0; i < n(); ++i) {
+      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
+      if (health_[i]->quarantined()) continue;
+      {
+        std::lock_guard<std::mutex> lk(stats_mu_);
+        ++stats_.forced_probes;
+      }
+      obs_.forced_probes->add();
+      auto result = probe(i, backoff_rng_.next_u64(), no_cancel);
+      result.delay += round1;
+      take(i, std::move(result));
+    }
+  }
+  return delays;
+}
+
 DepSkyClient::QuorumPutResult DepSkyClient::quorum_put(
     const std::vector<cloud::AccessToken>& tokens, const std::vector<std::string>& keys,
     const std::vector<BytesView>& blobs, const char* phase) {
@@ -234,10 +279,8 @@ DepSkyClient::QuorumPutResult DepSkyClient::quorum_put(
   const bool data_phase = std::string_view(phase) == "data";
   QuorumPutResult result;
   result.acked.assign(n(), false);
-  std::vector<sim::SimClock::Micros> delays;
   std::vector<std::pair<std::size_t, ErrorCode>> failures;
-  const auto push = [&](std::size_t i, sim::Timed<Status>&& put) {
-    delays.push_back(put.delay);
+  const auto ingest = [&](std::size_t i, sim::Timed<Status>&& put) {
     if (put.value.ok()) {
       ++result.acks;
       result.acked[i] = true;
@@ -253,50 +296,14 @@ DepSkyClient::QuorumPutResult DepSkyClient::quorum_put(
   };
 
   const std::size_t quorum = n() - f();
-  const auto contacted = contact_set();
-  // Jitter seeds pre-drawn in contact order: the stream consumed is the same
-  // whether the branches then run inline or on N pool threads.
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(contacted.size());
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    seeds.push_back(backoff_rng_.next_u64());
-  }
-  auto round = fan_out<sim::Timed<Status>>(
-      config_.executor.get(), config_.join_mode, contacted.size(), quorum,
-      [&](std::size_t j, const common::CancelToken& cancel) {
-        const std::size_t i = contacted[j];
-        return guarded_put(i, tokens[i], keys[i], blobs[i], seeds[j], cancel);
+  const auto delays = quorum_round(
+      quorum,
+      [&](std::size_t i, std::uint64_t seed, const common::CancelToken& cancel) {
+        return guarded_put(i, tokens[i], keys[i], blobs[i], seed, cancel);
       },
-      [](const sim::Timed<Status>& put) { return put.value.ok(); });
-  // Ingest in ascending contact order, counting only included branches — a
-  // straggler landing after a first-quorum freeze contributes neither acks
-  // nor put.data.{bytes,acks} (the double-count property test's invariant).
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    if (!round.included[j] || !round.results[j].has_value()) continue;
-    push(contacted[j], std::move(*round.results[j]));
-  }
-  // Degraded fallback round over breaker-skipped clouds if the quorum is
-  // still short (their completion times start after round one resolves).
-  if (result.acks < quorum && contacted.size() < n()) {
-    const auto round1 = sim::parallel_delay(delays);
-    const common::CancelToken no_cancel;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
-      if (health_[i]->quarantined()) continue;
-      auto put = guarded_put(i, tokens[i], keys[i], blobs[i],
-                             backoff_rng_.next_u64(), no_cancel);
-      put.delay += round1;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.forced_probes;
-      }
-      obs_.forced_probes->add();
-      push(i, std::move(put));
-    }
-  }
-
-  result.delay = delays.size() >= n() - f() ? sim::quorum_delay(delays, n() - f())
-                                            : sim::parallel_delay(delays);
+      [](const sim::Timed<Status>& put) { return put.value.ok(); }, ingest);
+  result.delay = delays.size() >= quorum ? sim::quorum_delay(delays, quorum)
+                                         : sim::parallel_delay(delays);
   group.set_duration(static_cast<std::uint64_t>(result.delay));
   std::sort(failures.begin(), failures.end());
   for (const auto& [i, code] : failures) {
@@ -333,12 +340,10 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     bool responded = false;  // found or definitive not-found
     std::optional<UnitMetadata> meta;
   };
-  std::vector<sim::SimClock::Micros> delays;
   UnitMetadata best;
   bool found = false;
   std::size_t responses = 0;
   const auto ingest = [&](std::size_t i, MetaProbe&& probe) {
-    delays.push_back(probe.delay);
     if (probe.responded) ++responses;
     if (probe.meta) {
       // Freshness check against the witness: a cloud answering below its own
@@ -385,46 +390,12 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
   };
 
   const std::size_t quorum = n() - f();
-  const auto contacted = contact_set();
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(contacted.size());
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    seeds.push_back(backoff_rng_.next_u64());
-  }
-  auto round = fan_out<MetaProbe>(
-      config_.executor.get(), config_.join_mode, contacted.size(), quorum,
-      [&](std::size_t j, const common::CancelToken& cancel) {
-        return probe_cloud(contacted[j], seeds[j], cancel);
-      },
-      [](const MetaProbe& probe) { return probe.responded; });
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    if (!round.included[j] || !round.results[j].has_value()) continue;
-    ingest(contacted[j], std::move(*round.results[j]));
-  }
-  // Degraded fallback: if the first round missed the quorum and the breaker
-  // held clouds back, try those too (sequenced after round one completes).
-  if (responses < quorum && contacted.size() < n()) {
-    const auto round1 = sim::parallel_delay(delays);
-    const common::CancelToken no_cancel;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
-      if (health_[i]->quarantined()) continue;
-      auto probe = probe_cloud(i, backoff_rng_.next_u64(), no_cancel);
-      probe.delay += round1;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.forced_probes;
-      }
-      obs_.forced_probes->add();
-      ingest(i, std::move(probe));
-    }
-  }
-
-  const auto delay = delays.size() >= n() - f()
-                         ? sim::quorum_delay(delays, n() - f())
-                         : sim::parallel_delay(delays);
+  const auto delays = quorum_round(
+      quorum, probe_cloud, [](const MetaProbe& probe) { return probe.responded; }, ingest);
+  const auto delay = delays.size() >= quorum ? sim::quorum_delay(delays, quorum)
+                                             : sim::parallel_delay(delays);
   group.set_duration(static_cast<std::uint64_t>(delay));
-  if (responses < n() - f()) {
+  if (responses < quorum) {
     group.set_outcome(ErrorCode::kUnavailable);
     return {Error{ErrorCode::kUnavailable, "depsky: metadata quorum unavailable"}, delay};
   }
@@ -469,6 +440,17 @@ sim::Timed<Status> DepSkyClient::write(const std::vector<cloud::AccessToken>& to
   obs::Span span = obs::tracer().span("depsky.write");
   span.set_bytes(data.size());
   sim::SimClock::Micros total_delay = 0;
+  const auto fail = [&](Status status) -> sim::Timed<Status> {
+    span.set_duration(static_cast<std::uint64_t>(total_delay));
+    span.set_outcome(status.code());
+    return {std::move(status), total_delay};
+  };
+  const auto missed = [&](const char* what, const QuorumPutResult& put) {
+    return Status{ErrorCode::kUnavailable,
+                  std::string("depsky write: ") + what + " quorum unavailable (" +
+                      std::to_string(put.acks) + "/" + std::to_string(n() - f()) +
+                      " acks; " + put.failure_detail + ")"};
+  };
 
   // Phase 1: find the current version (skippable only if the caller knows it).
   auto head = fetch_metadata(tokens, unit);
@@ -482,19 +464,13 @@ sim::Timed<Status> DepSkyClient::write(const std::vector<cloud::AccessToken>& to
     // on a removed (possibly quarantined) cloud, so fail closed — the caller
     // must re-learn the current membership (depsky/reconfig.h) first.
     if (head.metadata->membership_epoch > config_.membership_epoch) {
-      span.set_duration(static_cast<std::uint64_t>(total_delay));
-      span.set_outcome(ErrorCode::kFenced);
-      return {Status{ErrorCode::kFenced,
-                     "depsky write: unit at membership epoch " +
-                         std::to_string(head.metadata->membership_epoch) +
-                         ", client configured for epoch " +
-                         std::to_string(config_.membership_epoch)},
-              total_delay};
+      return fail({ErrorCode::kFenced, "depsky write: unit at membership epoch " +
+                                           std::to_string(head.metadata->membership_epoch) +
+                                           ", client configured for epoch " +
+                                           std::to_string(config_.membership_epoch)});
     }
   } else if (head.metadata.code() != ErrorCode::kNotFound) {
-    span.set_duration(static_cast<std::uint64_t>(total_delay));
-    span.set_outcome(head.metadata.code());
-    return {Status{head.metadata.error()}, total_delay};
+    return fail(head.metadata.error());
   }
   const std::uint64_t version = old_version + 1;
 
@@ -547,16 +523,7 @@ sim::Timed<Status> DepSkyClient::write(const std::vector<cloud::AccessToken>& to
   auto shares_put = quorum_put(tokens, share_keys, share_views, "data");
   total_delay += shares_put.delay;
   span.charge_child(static_cast<std::uint64_t>(shares_put.delay));
-  if (shares_put.acks < n() - f()) {
-    span.set_duration(static_cast<std::uint64_t>(total_delay));
-    span.set_outcome(ErrorCode::kUnavailable);
-    return {Status{ErrorCode::kUnavailable,
-                   "depsky write: share quorum unavailable (" +
-                       std::to_string(shares_put.acks) + "/" +
-                       std::to_string(n() - f()) + " acks; " +
-                       shares_put.failure_detail + ")"},
-            total_delay};
-  }
+  if (shares_put.acks < n() - f()) return fail(missed("share", shares_put));
   // Every acked share upload is a witness mark: the cloud provably knows
   // this version and can never again claim the share "was never uploaded".
   for (std::size_t i = 0; i < n(); ++i) {
@@ -572,16 +539,7 @@ sim::Timed<Status> DepSkyClient::write(const std::vector<cloud::AccessToken>& to
   auto meta_put = quorum_put(tokens, meta_keys, meta_views, "meta");
   total_delay += meta_put.delay;
   span.charge_child(static_cast<std::uint64_t>(meta_put.delay));
-  if (meta_put.acks < n() - f()) {
-    span.set_duration(static_cast<std::uint64_t>(total_delay));
-    span.set_outcome(ErrorCode::kUnavailable);
-    return {Status{ErrorCode::kUnavailable,
-                   "depsky write: metadata quorum unavailable (" +
-                       std::to_string(meta_put.acks) + "/" +
-                       std::to_string(n() - f()) + " acks; " +
-                       meta_put.failure_detail + ")"},
-            total_delay};
-  }
+  if (meta_put.acks < n() - f()) return fail(missed("metadata", meta_put));
   // Metadata acks pin each cloud's mark at the new version; the quorum
   // confirms the unit-level high-water mark.
   for (std::size_t i = 0; i < n(); ++i) {
@@ -653,7 +611,6 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
   const std::size_t needed = config_.protocol == Protocol::kA ? 1 : k();
   obs::Span group = obs::tracer().span("depsky.share_fetch", {.fanout = true});
   std::vector<ValidShare> valid;
-  std::vector<sim::SimClock::Micros> all_delays;
   const auto probe_share = [&](std::size_t i, std::uint64_t seed,
                                const common::CancelToken& cancel) {
     const std::string key = share_key(unit, meta.version, i);
@@ -670,7 +627,6 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
     return probe;
   };
   const auto ingest = [&](std::size_t i, ShareProbe&& probe) {
-    all_delays.push_back(probe.delay);
     if (probe.valid) {
       valid.push_back({i, std::move(probe.blob), probe.delay});
     } else if (probe.not_found && !cold) {
@@ -685,61 +641,27 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
     }
   };
 
-  const auto contacted = contact_set();
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(contacted.size());
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    seeds.push_back(backoff_rng_.next_u64());
-  }
-  auto round = fan_out<ShareProbe>(
-      config_.executor.get(), config_.join_mode, contacted.size(), needed,
-      [&](std::size_t j, const common::CancelToken& cancel) {
-        return probe_share(contacted[j], seeds[j], cancel);
-      },
-      [](const ShareProbe& probe) { return probe.valid; });
-  for (std::size_t j = 0; j < contacted.size(); ++j) {
-    if (!round.included[j] || !round.results[j].has_value()) continue;
-    ingest(contacted[j], std::move(*round.results[j]));
-  }
-  // Degraded fallback: conscript breaker-skipped clouds if the healthy set
-  // could not produce the `needed` valid shares.
-  if (valid.size() < needed && contacted.size() < n()) {
-    const auto round1 = sim::parallel_delay(all_delays);
-    const common::CancelToken no_cancel;
-    for (std::size_t i = 0; i < n(); ++i) {
-      if (std::find(contacted.begin(), contacted.end(), i) != contacted.end()) continue;
-      if (health_[i]->quarantined()) continue;
-      {
-        std::lock_guard<std::mutex> lk(stats_mu_);
-        ++stats_.forced_probes;
-      }
-      obs_.forced_probes->add();
-      auto probe = probe_share(i, backoff_rng_.next_u64(), no_cancel);
-      probe.delay += round1;
-      ingest(i, std::move(probe));
-    }
-  }
-  if (valid.size() < needed) {
-    const auto fetch_delay = sim::parallel_delay(all_delays);
-    group.set_duration(static_cast<std::uint64_t>(fetch_delay));
-    group.set_outcome(ErrorCode::kUnavailable);
-    group.finish();
-    span.charge_child(static_cast<std::uint64_t>(fetch_delay));
-    span.set_duration(static_cast<std::uint64_t>(total_delay + fetch_delay));
-    span.set_outcome(ErrorCode::kUnavailable);
-    return {Error{ErrorCode::kUnavailable, "depsky read: not enough valid shares"},
-            total_delay + sim::parallel_delay(all_delays)};
-  }
-  // Completion when the `needed`-th fastest valid share arrived.
+  const auto all_delays = quorum_round(
+      needed, probe_share, [](const ShareProbe& probe) { return probe.valid; }, ingest);
+  // Completion when the `needed`-th fastest valid share arrived (or, short
+  // of that, when the last probe gave up).
+  const bool enough = valid.size() >= needed;
   std::vector<sim::SimClock::Micros> valid_delays;
   valid_delays.reserve(valid.size());
   for (const auto& v : valid) valid_delays.push_back(v.delay);
-  const auto fetch_delay = sim::quorum_delay(valid_delays, needed);
+  const auto fetch_delay = enough ? sim::quorum_delay(valid_delays, needed)
+                                  : sim::parallel_delay(all_delays);
   total_delay += fetch_delay;
   group.set_duration(static_cast<std::uint64_t>(fetch_delay));
+  if (!enough) group.set_outcome(ErrorCode::kUnavailable);
   group.finish();
   span.charge_child(static_cast<std::uint64_t>(fetch_delay));
   span.set_duration(static_cast<std::uint64_t>(total_delay));
+  if (!enough) {
+    span.set_outcome(ErrorCode::kUnavailable);
+    return {Error{ErrorCode::kUnavailable, "depsky read: not enough valid shares"},
+            total_delay};
+  }
   span.set_bytes(meta.data_size);
 
   if (config_.protocol == Protocol::kA) {

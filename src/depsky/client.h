@@ -51,15 +51,13 @@ struct DepSkyConfig {
   /// code path executes either way, so seeded runs produce byte-identical
   /// metadata, digests and trace dumps at any thread count.
   std::shared_ptr<common::Executor> executor;
-  /// kBarrier (default): joins wait for every branch and compose completion
-  /// from virtual delays — the deterministic mode. kFirstQuorum: the join
-  /// freezes at the (n-f)-th wall-clock success and cancels stragglers —
-  /// wall-clock optimal, used by latency-emulating benches only.
-  common::JoinMode join_mode = common::JoinMode::kBarrier;
   /// Optional wall-clock emulation: invoked inside each per-cloud branch
   /// with the branch's virtual delay, typically sleeping a scaled-down real
-  /// amount. Must honor the cancel token (return early once cancelled) so
-  /// kFirstQuorum joins can interrupt stragglers.
+  /// amount. Must honor the cancel token (return early once cancelled).
+  /// Setting it together with a multi-thread executor makes quorum joins
+  /// first-quorum: they freeze at the goal-th wall-clock success and cancel
+  /// the stragglers. Every other setup joins as a barrier (every branch
+  /// included, completion composed from virtual delays).
   std::function<void(sim::SimClock::Micros, const common::CancelToken&)> emulate_latency;
   /// Shared freshness witness (metadata.h). Every client of one deployment
   /// should share one instance so a cloud contradicting what it told another
@@ -238,6 +236,17 @@ class DepSkyClient {
                                  const std::string& key, BytesView data,
                                  std::uint64_t backoff_seed,
                                  const common::CancelToken& cancel);
+
+  /// The one quorum round every phase runs: probe(cloud, jitter_seed, cancel)
+  /// fans out over contact_set() on the executor, and the included results
+  /// go to ingest(cloud, Probe&&) in ascending cloud order. If fewer than
+  /// `goal` of them pass ok(probe) and the breaker held clouds back, those
+  /// (never quarantined ones) are probed as forced probes after round one,
+  /// their delays offset by its completion. Returns the delay of every
+  /// ingested probe, in ingestion order; callers compose completion from it.
+  template <typename ProbeFn, typename OkFn, typename IngestFn>
+  std::vector<sim::SimClock::Micros> quorum_round(std::size_t goal, ProbeFn&& probe,
+                                                  OkFn&& ok, IngestFn&& ingest);
 
   /// One write quorum phase: puts keys[i]/blobs[i] at every contactable
   /// cloud, falling back to skipped clouds if the first round misses the

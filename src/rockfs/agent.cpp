@@ -45,7 +45,6 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   cfg.writer = crypto::keypair_from_private(keystore_->user_private_key);
   cfg.trusted_writers = options_.trusted_writers;
   cfg.executor = options_.executor;
-  cfg.join_mode = options_.join_mode;
   cfg.witness = options_.witness;
   cfg.session = session_id;
   cfg.membership_epoch = options_.membership_epoch;

@@ -43,8 +43,6 @@ struct AgentOptions {
   /// (common/executor.h); null runs everything inline. Seeded results are
   /// byte-identical either way (the determinism contract, ARCHITECTURE §11).
   std::shared_ptr<common::Executor> executor;
-  /// Fan-out join discipline; kBarrier keeps virtual time deterministic.
-  common::JoinMode join_mode = common::JoinMode::kBarrier;
   /// Deployment-wide freshness witness (depsky/metadata.h): every client
   /// session records the versions each cloud acked or served, so a cloud
   /// contradicting itself across sessions is caught. Null = private witness.

@@ -28,7 +28,7 @@ struct DeploymentOptions {
   /// and hands it to every agent, the admin storage and the scrubber, so
   /// the whole stack (including the SCFS close path) fans out for real.
   /// 0 (default) keeps everything inline. Seeded runs are byte-identical
-  /// at any value (kBarrier joins).
+  /// at any value (no latency is emulated, so quorum joins are barriers).
   std::size_t executor_threads = 0;
 };
 

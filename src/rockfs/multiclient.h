@@ -33,7 +33,7 @@ struct MultiClientOptions {
   /// Write-back staging of closes. The harness flushes after every close
   /// (while the lease is held), so crash/fence fates fire inside the flush.
   bool write_back = false;
-  /// Thread-pool size handed to the deployment (0 = inline). kBarrier joins
+  /// Thread-pool size handed to the deployment (0 = inline). Barrier joins
   /// keep every digest identical at any value.
   std::size_t executor_threads = 0;
 };

@@ -219,6 +219,74 @@ Result<LogAudit> RecoveryService::audit_chain(const std::string& chain_user,
   return audit;
 }
 
+void RecoveryService::replay(const std::vector<const LogRecord*>& records, Bytes base,
+                             FileRecovery* result, sim::SimClock::Micros* delay) {
+  // Step 2: batch-download all data halves in parallel.
+  struct Fetched {
+    const LogRecord* record;
+    Result<diff::LogDelta> delta;
+  };
+  std::vector<Fetched> fetched;
+  std::vector<sim::SimClock::Micros> download_delays;
+  for (const LogRecord* r : records) {
+    auto payload = storage_->read(config_.admin_tokens, r->data_unit());
+    if (!payload.value.ok() && payload.value.code() == ErrorCode::kUnavailable) {
+      // Shares may have been archived by a compaction whose snapshot was
+      // later lost: fall back to cold storage (slow, but nothing is gone).
+      payload = storage_->read_archived(config_.admin_tokens, r->data_unit());
+    }
+    download_delays.push_back(payload.delay);
+    // Cross-check the data half against the MAC-verified metadata.
+    if (!payload.value.ok() ||
+        !ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
+      ++result->skipped_invalid;
+      continue;
+    }
+    auto unwrapped = unwrap_log_payload(*payload.value);
+    if (!unwrapped.ok()) {
+      ++result->skipped_invalid;
+      continue;
+    }
+    fetched.push_back({r, diff::LogDelta::deserialize(*unwrapped)});
+  }
+  *delay += sim::parallel_delay(download_delays);
+
+  // Step 3/4: selective re-execution.
+  Bytes content = std::move(base);
+  for (auto& f : fetched) {
+    if (!f.delta.ok()) {
+      ++result->skipped_invalid;
+      continue;
+    }
+    if (f.record->op == "delete") {
+      content.clear();
+      ++result->applied;
+      continue;
+    }
+    auto next = diff::apply_log_delta(content, *f.delta);
+    *delay += patch_cost(content.size() + f.delta->payload.size());
+    if (!next.ok()) {
+      // A delta that no longer applies (its base included a skipped
+      // malicious write). Whole-file entries always apply; for deltas we
+      // must drop the entry, as the paper's selective re-execution does.
+      ++result->skipped_invalid;
+      continue;
+    }
+    content = std::move(*next);
+    ++result->applied;
+  }
+  result->content = std::move(content);
+}
+
+void RecoveryService::book_recovery(obs::Span& span, sim::SimClock::Micros start,
+                                    std::size_t files) {
+  last_recovery_us_ = clock_->now_us() - start;
+  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
+  obs::metrics().counter("recovery.files_recovered").add(files);
+  obs::metrics().histogram("recovery.mttr_us").record(
+      static_cast<std::uint64_t>(last_recovery_us_));
+}
+
 Result<FileRecovery> RecoveryService::recover_one(const LogAudit& audit,
                                                   const std::string& path,
                                                   const std::set<std::uint64_t>& malicious,
@@ -232,84 +300,29 @@ Result<FileRecovery> RecoveryService::recover_one(const LogAudit& audit,
   const SnapshotBaseline baseline =
       use_snapshots ? load_snapshot(path, delay) : SnapshotBaseline{};
 
-  // Select this file's entries in log order (rotation records live under a
-  // sentinel path and carry no file data; never replay them).
-  std::vector<const LogRecord*> entries;
+  // Select this file's surviving entries in log order (rotation records
+  // live under a sentinel path and carry no file data; never replay them).
+  bool has_entries = false;
+  std::vector<const LogRecord*> survivors;
   for (const auto& r : audit.records) {
-    if (r.path == path && r.op != rotation_record_op()) entries.push_back(&r);
-  }
-  if (entries.empty() && !baseline.found) {
-    return Error{ErrorCode::kNotFound, "recovery: no log entries for " + path};
-  }
-
-  // Step 2: batch-download all surviving data halves in parallel.
-  struct Fetched {
-    const LogRecord* record;
-    Result<diff::LogDelta> delta;
-  };
-  std::vector<Fetched> fetched;
-  std::vector<sim::SimClock::Micros> download_delays;
-  for (const LogRecord* r : entries) {
-    if (baseline.found && r->seq <= baseline.watermark) continue;  // folded in
-    if (audit.discarded_seqs.contains(r->seq)) {
+    if (r.path != path || r.op == rotation_record_op()) continue;
+    has_entries = true;
+    if (baseline.found && r.seq <= baseline.watermark) continue;  // folded in
+    if (audit.discarded_seqs.contains(r.seq)) {
       ++result.skipped_invalid;
       continue;
     }
-    if (malicious.contains(r->seq)) {
+    if (malicious.contains(r.seq)) {
       ++result.skipped_malicious;
       continue;
     }
-    auto payload = storage_->read(config_.admin_tokens, r->data_unit());
-    if (!payload.value.ok() && payload.value.code() == ErrorCode::kUnavailable) {
-      // Shares may have been archived by a compaction whose snapshot was
-      // later lost: fall back to cold storage (slow, but nothing is gone).
-      payload = storage_->read_archived(config_.admin_tokens, r->data_unit());
-    }
-    download_delays.push_back(payload.delay);
-    if (!payload.value.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    // Cross-check the data half against the MAC-verified metadata.
-    if (!ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    auto unwrapped = unwrap_log_payload(*payload.value);
-    if (!unwrapped.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    fetched.push_back({r, diff::LogDelta::deserialize(*unwrapped)});
+    survivors.push_back(&r);
   }
-  *delay += sim::parallel_delay(download_delays);
-
-  // Step 3/4: selective re-execution.
-  Bytes content = baseline.content;
+  if (!has_entries && !baseline.found) {
+    return Error{ErrorCode::kNotFound, "recovery: no log entries for " + path};
+  }
   if (baseline.found) ++result.applied;  // the snapshot itself
-  for (auto& f : fetched) {
-    if (!f.delta.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    if (f.record->op == "delete") {
-      content.clear();
-      ++result.applied;
-      continue;
-    }
-    auto next = diff::apply_log_delta(content, *f.delta);
-    *delay += patch_cost(content.size() + f.delta->payload.size());
-    if (!next.ok()) {
-      // A delta that no longer applies (its base included a skipped
-      // malicious write). Whole-file entries always apply; for deltas we
-      // must drop the entry, as the paper's selective re-execution does.
-      ++result.skipped_invalid;
-      continue;
-    }
-    content = std::move(*next);
-    ++result.applied;
-  }
-  result.content = std::move(content);
+  replay(survivors, baseline.content, &result, delay);
   if (!apply) return result;
 
   if (auto st = commit_recovered(path, result.content, delay); !st.ok()) {
@@ -352,29 +365,19 @@ Status RecoveryService::commit_recovered(const std::string& path, const Bytes& c
 
 Result<FileRecovery> RecoveryService::recover_file(const std::string& path,
                                                    const std::set<std::uint64_t>& malicious) {
-  obs::Span span = obs::tracer().span("recovery.recover_file");
-  span.set_label(path);
-  const auto start = clock_->now_us();
-  auto audit = audit_log();
-  if (!audit.ok()) return Error{audit.error()};
-  if (audit->report.aggregate_mismatch || audit->report.count_mismatch) {
-    return Error{ErrorCode::kIntegrity,
-                 "recovery: log stream integrity violated (truncation or reordering)"};
-  }
-  sim::SimClock::Micros delay = 0;
-  auto result = recover_one(*audit, path, malicious, &delay);
-  clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add();
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
-  return result;
+  return recover_single("recovery.recover_file", path, malicious, std::nullopt);
 }
 
 Result<FileRecovery> RecoveryService::recover_file_at(const std::string& path,
                                                       std::int64_t as_of_us) {
-  obs::Span span = obs::tracer().span("recovery.recover_file_at");
+  return recover_single("recovery.recover_file_at", path, {}, as_of_us);
+}
+
+Result<FileRecovery> RecoveryService::recover_single(const char* span_name,
+                                                     const std::string& path,
+                                                     std::set<std::uint64_t> malicious,
+                                                     std::optional<std::int64_t> as_of_us) {
+  obs::Span span = obs::tracer().span(span_name);
   span.set_label(path);
   const auto start = clock_->now_us();
   auto audit = audit_log();
@@ -383,21 +386,18 @@ Result<FileRecovery> RecoveryService::recover_file_at(const std::string& path,
     return Error{ErrorCode::kIntegrity,
                  "recovery: log stream integrity violated (truncation or reordering)"};
   }
-  // Everything after the cut-off is treated exactly like a malicious entry:
-  // skipped during selective re-execution.
-  std::set<std::uint64_t> after_cutoff;
-  for (const auto& r : audit->records) {
-    if (r.path == path && r.timestamp_us > as_of_us) after_cutoff.insert(r.seq);
+  if (as_of_us) {
+    // Everything after the cut-off is treated exactly like a malicious
+    // entry: skipped during selective re-execution.
+    for (const auto& r : audit->records) {
+      if (r.path == path && r.timestamp_us > *as_of_us) malicious.insert(r.seq);
+    }
   }
   sim::SimClock::Micros delay = 0;
-  auto result = recover_one(*audit, path, after_cutoff, &delay, /*apply=*/true,
-                            /*use_snapshots=*/false);
+  auto result = recover_one(*audit, path, malicious, &delay, /*apply=*/true,
+                            /*use_snapshots=*/!as_of_us);
   clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add();
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
+  if (result.ok()) book_recovery(span, start, 1);
   return result;
 }
 
@@ -477,73 +477,20 @@ Result<FileRecovery> RecoveryService::recover_shared_file(
     return a->seq < b->seq;
   });
 
-  // Batch-download the data halves and re-execute. Every cross-user write is
-  // a whole-file entry (the agent forces it when the opened base was written
-  // by someone else), so dropping a user's entries never strands a surviving
-  // delta on an unlogged base: each honest run either extends its own
-  // previous entry or restarts from a whole file.
+  // Re-execute the merged survivors. Every cross-user write is a whole-file
+  // entry (the agent forces it when the opened base was written by someone
+  // else), so dropping a user's entries never strands a surviving delta on
+  // an unlogged base: each honest run either extends its own previous entry
+  // or restarts from a whole file.
   sim::SimClock::Micros delay = 0;
-  struct Fetched {
-    const LogRecord* record;
-    Result<diff::LogDelta> delta;
-  };
-  std::vector<Fetched> fetched;
-  std::vector<sim::SimClock::Micros> download_delays;
-  for (const LogRecord* r : merged) {
-    auto payload = storage_->read(config_.admin_tokens, r->data_unit());
-    if (!payload.value.ok() && payload.value.code() == ErrorCode::kUnavailable) {
-      payload = storage_->read_archived(config_.admin_tokens, r->data_unit());
-    }
-    download_delays.push_back(payload.delay);
-    if (!payload.value.ok() ||
-        !ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    auto unwrapped = unwrap_log_payload(*payload.value);
-    if (!unwrapped.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    fetched.push_back({r, diff::LogDelta::deserialize(*unwrapped)});
-  }
-  delay += sim::parallel_delay(download_delays);
-
-  Bytes content;
-  for (auto& f : fetched) {
-    if (!f.delta.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    if (f.record->op == "delete") {
-      content.clear();
-      ++result.applied;
-      continue;
-    }
-    auto next = diff::apply_log_delta(content, *f.delta);
-    delay += patch_cost(content.size() + f.delta->payload.size());
-    if (!next.ok()) {
-      ++result.skipped_invalid;
-      continue;
-    }
-    content = std::move(*next);
-    ++result.applied;
-  }
-  result.content = std::move(content);
-
-  if (auto st = commit_recovered(path, result.content, &delay); !st.ok()) {
-    // The downloads and patching above still took simulated time; a failed
-    // commit must not understate MTTR or skew virtual-time behavior.
-    clock_->advance_us(delay);
-    return Error{st.error()};
-  }
+  replay(merged, {}, &result, &delay);
+  const Status committed = commit_recovered(path, result.content, &delay);
+  // The downloads and patching still took simulated time when the commit
+  // fails: a failed recovery must not skew virtual time.
   clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add();
+  if (!committed.ok()) return Error{committed.error()};
   obs::metrics().counter("recovery.shared_recoveries").add();
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
+  book_recovery(span, start, 1);
   return result;
 }
 
@@ -711,11 +658,7 @@ Result<std::vector<FileRecovery>> RecoveryService::recover_all(
   }
 
   clock_->advance_us(delay);
-  last_recovery_us_ = clock_->now_us() - start;
-  span.set_duration(static_cast<std::uint64_t>(last_recovery_us_));
-  obs::metrics().counter("recovery.files_recovered").add(results.size());
-  obs::metrics().histogram("recovery.mttr_us").record(
-      static_cast<std::uint64_t>(last_recovery_us_));
+  book_recovery(span, start, results.size());
   return results;
 }
 

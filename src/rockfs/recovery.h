@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "coord/service.h"
 #include "depsky/client.h"
 #include "fssagg/fssagg.h"
+#include "obs/trace.h"
 #include "rockfs/logservice.h"
 #include "rockfs/revocation.h"
 #include "sim/timed.h"
@@ -161,6 +163,13 @@ class RecoveryService {
     bool found = false;
   };
   SnapshotBaseline load_snapshot(const std::string& path, sim::SimClock::Micros* delay);
+  /// Shared body of recover_file and recover_file_at: audits the user's log
+  /// and recovers `path` skipping `malicious` and, when `as_of_us` is set,
+  /// every entry of the file stamped after it (a point-in-time recovery also
+  /// ignores snapshot baselines, which may postdate the cut-off).
+  Result<FileRecovery> recover_single(const char* span_name, const std::string& path,
+                                      std::set<std::uint64_t> malicious,
+                                      std::optional<std::int64_t> as_of_us);
   /// Shared machinery: recovers one file given an already-audited log. When
   /// `apply` is false the content is only reconstructed (used by
   /// compact_file), without re-uploading or logging a recovery record.
@@ -176,6 +185,17 @@ class RecoveryService {
   /// recovery on the admin chain.
   Status commit_recovered(const std::string& path, const Bytes& content,
                           sim::SimClock::Micros* delay);
+  /// Steps 2-4, shared by recover_one and recover_shared_file: batch-
+  /// downloads the data halves of `records` (surviving entries, replay
+  /// order), drops any whose digest, wrapper or delta fails, and re-executes
+  /// the rest on top of `base`. Counts into result->applied and
+  /// result->skipped_invalid and sets result->content.
+  void replay(const std::vector<const LogRecord*>& records, Bytes base,
+              FileRecovery* result, sim::SimClock::Micros* delay);
+  /// Success epilogue of every recover_* entry point: the MTTR since `start`
+  /// becomes last_recovery_us() and the span's duration, and `files` join
+  /// recovery.files_recovered. A failed recovery books none of it.
+  void book_recovery(obs::Span& span, sim::SimClock::Micros start, std::size_t files);
 
   std::string user_id_;
   RecoveryConfig config_;

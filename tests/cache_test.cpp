@@ -387,7 +387,7 @@ TEST(CacheSoak, ContentDigestIdenticalCacheOnOffAcrossThreads) {
             << ": lost=" << report.lost_updates << " zombies=" << report.zombie_updates
             << " divergent=" << report.divergent_reads;
         // Same config at different thread counts: the FULL digest (counters
-        // included) must match bit-for-bit (kBarrier determinism).
+        // included) must match bit-for-bit (barrier-join determinism).
         if (config_digest.empty()) config_digest = report.digest;
         EXPECT_EQ(report.digest, config_digest)
             << "thread-count divergence at seed " << seed << " cache " << cache_on;

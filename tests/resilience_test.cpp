@@ -485,6 +485,42 @@ TEST_F(DepSkyResilienceTest, SuccessfulForcedProbesHealTheBreaker) {
   EXPECT_EQ(client.cloud_health(2).state(), depsky::HealthTracker::State::kClosed);
 }
 
+TEST_F(DepSkyResilienceTest, ForcedProbesKeepWriteQuorumsReachable) {
+  auto client = make_client();
+  const Bytes v1 = to_bytes("version one");
+  const Bytes v2 = to_bytes("version two");  // same size: one blob size
+  clouds[2]->set_available(false);
+  ASSERT_TRUE(client.write(tokens, "files/f", v1).value.ok());
+  ASSERT_FALSE(client.cloud_health(2).allow_request());
+  clouds[2]->set_available(true);
+  clouds[0]->set_available(false);
+  // The head fetch and the share put each miss their quorum in round one
+  // ({0,1,3} with 0 down) and conscript cloud 2 in the fallback round; its
+  // two successful probes then close the breaker for the metadata put.
+  obs::metrics().reset();
+  const auto probes_before = client.resilience_stats().forced_probes;
+  auto w = client.write(tokens, "files/f", v2);
+  ASSERT_TRUE(w.value.ok()) << w.value.error().message;
+  EXPECT_GT(client.resilience_stats().forced_probes, probes_before);
+  EXPECT_GT(obs::metrics().counter_value("depsky.forced_probes"), 0u);
+
+  // The forced probe's data put is booked like any other acked put.
+  const std::size_t blob = client.encoded_blob_size(v2.size());
+  for (const auto& c : clouds) {
+    const auto acks =
+        obs::metrics().counter_value(obs::metric_key("depsky.put.data.acks", c->name()));
+    EXPECT_EQ(obs::metrics().counter_value(
+                  obs::metric_key("depsky.put.data.bytes", c->name())),
+              acks * blob)
+        << c->name();
+  }
+  EXPECT_EQ(obs::metrics().counter_value("depsky.put.data.acks{cloud-2}"), 1u);
+  EXPECT_EQ(obs::metrics().counter_value("depsky.put.data.acks{cloud-0}"), 0u);
+  auto r = client.read(tokens, "files/f");
+  ASSERT_TRUE(r.value.ok()) << r.value.error().message;
+  EXPECT_EQ(*r.value, v2);
+}
+
 TEST_F(DepSkyResilienceTest, WriteFailureNamesTheFailingClouds) {
   auto client = make_client();
   // Reads still work everywhere (so phase 1 settles), but uploads tear on

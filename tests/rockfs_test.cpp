@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "rockfs/attack.h"
 #include "rockfs/costs.h"
 #include "rockfs/deployment.h"
@@ -270,6 +271,24 @@ TEST_F(RecoveryFixture, UndoRansomwareOnOneFile) {
   auto content = alice.read_file("/doc");
   ASSERT_TRUE(content.ok());
   EXPECT_EQ(*content, good);
+}
+
+TEST_F(RecoveryFixture, FailedRecoveryBooksNoMttr) {
+  ASSERT_TRUE(alice.write_file("/doc", to_bytes("content")).ok());
+  auto recovery = dep.make_recovery_service("alice");
+  ASSERT_TRUE(recovery.recover_file("/doc", {}).ok());
+  const auto files = obs::metrics().counter_value("recovery.files_recovered");
+  const auto mttrs = obs::metrics().histogram("recovery.mttr_us").count();
+  const auto last = recovery.last_recovery_us();
+  const auto before = dep.clock()->now_us();
+
+  auto missing = recovery.recover_file("/never-written", {});
+  EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(obs::metrics().counter_value("recovery.files_recovered"), files);
+  EXPECT_EQ(obs::metrics().histogram("recovery.mttr_us").count(), mttrs);
+  EXPECT_EQ(recovery.last_recovery_us(), last);
+  // The failed attempt's audit still took virtual time.
+  EXPECT_GT(dep.clock()->now_us(), before);
 }
 
 TEST_F(RecoveryFixture, ValidOperationsAfterAttackAreKept) {

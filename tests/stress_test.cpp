@@ -1,17 +1,19 @@
 // Stress / determinism soak for the parallel DepSky hot path (labelled
-// `stress` in ctest; the CI tsan-stress job runs it under
+// `stress` in ctest; the CI `tsan` matrix entry runs it under
 // -DROCKFS_SANITIZE=thread):
 //
 //   1. the determinism contract — a seeded workload produces byte-identical
 //      DepSky metadata, file contents, metrics and golden trace dumps
-//      whether the fan-out ran inline or on 2 or 8 pool threads (kBarrier
+//      whether the fan-out ran inline or on 2 or 8 pool threads (barrier
 //      joins compose completion from virtual delays, so thread scheduling
 //      can never leak into results),
 //   2. the same equivalence through the whole deployment stack (agents,
 //      SCFS close path, recovery audit) via DeploymentOptions::executor_threads,
-//   3. the straggler property — under kFirstQuorum with real cancellation
-//      and emulated wall-clock latency, a cancelled straggler landing late
-//      never corrupts quorum results or double-counts put.data.{bytes,acks}.
+//   3. the straggler property — under first-quorum joins (real cancellation,
+//      emulated wall-clock latency), a cancelled straggler landing late
+//      never corrupts quorum results or double-counts put.data.{bytes,acks},
+//   4. the derived join rule — latency emulation without a pool still joins
+//      as a barrier, so the straggler's ack is always included.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -61,8 +63,9 @@ DepSkyRun run_depsky_workload(std::uint64_t seed, std::size_t threads) {
   cfg.f = 1;
   cfg.protocol = depsky::Protocol::kCA;
   cfg.writer = crypto::generate_keypair(drbg);
+  // No latency emulation, so every quorum join is a barrier: the
+  // deterministic discipline.
   if (threads > 0) cfg.executor = std::make_shared<common::ThreadPool>(threads);
-  cfg.join_mode = common::JoinMode::kBarrier;  // the deterministic discipline
   depsky::DepSkyClient client(std::move(cfg), to_bytes("stress-seed"));
 
   std::vector<cloud::AccessToken> tokens;
@@ -197,7 +200,7 @@ TEST(StressDeterminism, FullStackIsByteIdenticalAcrossThreadCounts) {
 
 // ---- 3. the straggler property under real cancellation ----
 
-// kFirstQuorum with a permanently slow cloud and wall-clock latency
+// First-quorum joins with a permanently slow cloud and wall-clock latency
 // emulation: every write freezes its quorum at the (n-f)-th ack and cancels
 // the straggler mid-sleep. The straggler still lands (its simulated put
 // already happened; only the emulated wait is interrupted) — the property is
@@ -218,8 +221,8 @@ TEST(StressStraggler, CancelledStragglerNeverDoubleCountsOrCorrupts) {
   cfg.f = 1;
   cfg.protocol = depsky::Protocol::kCA;
   cfg.writer = crypto::generate_keypair(drbg);
+  // A multi-thread pool plus latency emulation: joins are first-quorum.
   cfg.executor = std::make_shared<common::ThreadPool>(4);
-  cfg.join_mode = common::JoinMode::kFirstQuorum;
   // Scale virtual microseconds down to a sliver of wall time, honouring the
   // token so a freeze interrupts the straggler's sleep immediately.
   cfg.emulate_latency = [](sim::SimClock::Micros virtual_us,
@@ -271,6 +274,62 @@ TEST(StressStraggler, CancelledStragglerNeverDoubleCountsOrCorrupts) {
     ASSERT_TRUE(read.value.ok());
     EXPECT_EQ(*read.value, last_written[u]) << "unit " << u;
   }
+}
+
+// ---- 4. the join rule is derived, not configured ----
+
+// Latency emulation on its own does not make joins first-quorum: without a
+// multi-thread pool nothing overlaps in wall-clock time, so freezing early
+// would only drop acks. Same straggler as above, no executor — every branch
+// is included, so the straggler's ack counts on every write.
+TEST(StressStraggler, EmulatedLatencyWithoutPoolIncludesEveryBranch) {
+  obs::metrics().reset();
+  obs::tracer().reset();
+
+  const std::uint64_t seed = 90210;
+  auto clock = std::make_shared<sim::SimClock>();
+  auto clouds = cloud::make_provider_fleet(clock, 4, seed);
+  crypto::Drbg drbg{to_bytes("straggler")};
+
+  depsky::DepSkyConfig cfg;
+  cfg.clouds = clouds;
+  cfg.f = 1;
+  cfg.protocol = depsky::Protocol::kCA;
+  cfg.writer = crypto::generate_keypair(drbg);
+  cfg.emulate_latency = [](sim::SimClock::Micros virtual_us,
+                           const common::CancelToken& cancel) {
+    cancel.sleep_for(std::chrono::microseconds(virtual_us / 20'000 + 1));
+  };
+  depsky::DepSkyClient client(std::move(cfg), to_bytes("straggler-seed"));
+
+  std::vector<cloud::AccessToken> tokens;
+  for (auto& c : clouds) {
+    tokens.push_back(c->issue_token("alice", "fs", cloud::TokenScope::kFiles));
+  }
+  clouds[3]->faults().set_tail_latency(1.0, 30.0);
+
+  Rng rng(seed);
+  constexpr std::size_t kDataSize = 8 << 10;
+  constexpr int kWrites = 6;
+  const std::size_t blob = client.encoded_blob_size(kDataSize);
+  for (int w = 0; w < kWrites; ++w) {
+    auto wrote = client.write(tokens, "files/barrier/u" + std::to_string(w % 2),
+                              rng.next_bytes(kDataSize));
+    clock->advance_us(wrote.delay);
+    ASSERT_TRUE(wrote.value.ok());
+  }
+
+  std::uint64_t total_bytes = 0, total_acks = 0;
+  for (const auto& c : clouds) {
+    const auto acks = obs::metrics().counter_value(
+        obs::metric_key("depsky.put.data.acks", c->name()));
+    EXPECT_EQ(acks, static_cast<std::uint64_t>(kWrites)) << c->name();
+    total_acks += acks;
+    total_bytes += obs::metrics().counter_value(
+        obs::metric_key("depsky.put.data.bytes", c->name()));
+  }
+  EXPECT_EQ(total_acks, static_cast<std::uint64_t>(kWrites) * clouds.size());
+  EXPECT_EQ(total_bytes, total_acks * blob);
 }
 
 }  // namespace
