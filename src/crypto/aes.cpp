@@ -1,9 +1,15 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace rockfs::crypto {
 
@@ -67,6 +73,18 @@ std::uint32_t sub_word(std::uint32_t w) {
 }
 
 std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
+
+// The sealed box's MAC input: u64be(|aad|) || aad || iv || ct. The length
+// prefix fixes where the AAD ends, so no byte can move between the AAD and
+// the IV and still verify.
+Bytes mac_input(BytesView aad, BytesView iv_and_ct) {
+  Bytes m;
+  m.reserve(8 + aad.size() + iv_and_ct.size());
+  append_u64(m, aad.size());
+  append(m, aad);
+  append(m, iv_and_ct);
+  return m;
+}
 
 }  // namespace
 
@@ -148,26 +166,121 @@ void Aes256::encrypt_block(Byte block[kBlockSize]) const {
     for (int r = 0; r < 4; ++r) block[4 * c + r] = state[r][c];
 }
 
-Bytes aes256_ctr(BytesView key, BytesView iv, BytesView data) {
-  if (iv.size() != Aes256::kBlockSize) throw std::invalid_argument("aes256_ctr: iv must be 16 bytes");
-  const Aes256 cipher(key);
-  Byte counter[Aes256::kBlockSize];
-  std::memcpy(counter, iv.data(), Aes256::kBlockSize);
+namespace detail {
 
-  Bytes out(data.size());
-  std::size_t off = 0;
-  while (off < data.size()) {
+void aes256_ctr_portable(const Aes256& cipher, const Byte* iv, const Byte* in, Byte* out,
+                         std::size_t n) {
+  Byte counter[Aes256::kBlockSize];
+  std::memcpy(counter, iv, Aes256::kBlockSize);
+  for (std::size_t off = 0; off < n; off += Aes256::kBlockSize) {
     Byte keystream[Aes256::kBlockSize];
     std::memcpy(keystream, counter, Aes256::kBlockSize);
     cipher.encrypt_block(keystream);
-    const std::size_t take = std::min<std::size_t>(Aes256::kBlockSize, data.size() - off);
-    for (std::size_t i = 0; i < take; ++i) out[off + i] = static_cast<Byte>(data[off + i] ^ keystream[i]);
-    off += take;
+    const std::size_t take = std::min<std::size_t>(Aes256::kBlockSize, n - off);
+    for (std::size_t i = 0; i < take; ++i) {
+      out[off + i] = static_cast<Byte>(in[off + i] ^ keystream[i]);
+    }
     // Increment the counter block big-endian.
     for (int i = Aes256::kBlockSize - 1; i >= 0; --i) {
       if (++counter[i] != 0) break;
     }
   }
+}
+
+namespace {
+
+#if defined(__x86_64__) || defined(__i386__)
+std::uint64_t load_be64(const Byte* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+// Eight counter blocks per pass keep the aesenc pipeline full; the tail runs
+// one block at a time. The counter is two 64-bit halves with a carry, i.e. the
+// same 128-bit big-endian increment as the portable path.
+__attribute__((target("aes,ssse3"))) void aes256_ctr_aesni(const Aes256& cipher,
+                                                           const Byte* iv, const Byte* in,
+                                                           Byte* out, std::size_t n) {
+  constexpr int kRounds = Aes256::kRounds;
+  constexpr std::size_t kLanes = 8;
+  // aesenc takes each round key as 16 bytes in state order, i.e. every
+  // FIPS-197 word big-endian: byte-swap the native words lane by lane.
+  const __m128i word_bswap =
+      _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
+  __m128i rk[kRounds + 1];
+  for (int r = 0; r <= kRounds; ++r) {
+    rk[r] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cipher.round_keys().data() + 4 * r)),
+        word_bswap);
+  }
+  std::uint64_t hi = load_be64(iv);
+  std::uint64_t lo = load_be64(iv + 8);
+
+  std::size_t off = 0;
+  for (; n - off >= kLanes * Aes256::kBlockSize; off += kLanes * Aes256::kBlockSize) {
+    __m128i b[kLanes];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      b[j] = _mm_xor_si128(_mm_set_epi64x(static_cast<long long>(__builtin_bswap64(lo)),
+                                          static_cast<long long>(__builtin_bswap64(hi))),
+                           rk[0]);
+      if (++lo == 0) ++hi;
+    }
+    for (int r = 1; r < kRounds; ++r) {
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < kLanes; ++j) b[j] = _mm_aesenc_si128(b[j], rk[r]);
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      b[j] = _mm_aesenclast_si128(b[j], rk[kRounds]);
+      const auto* src = reinterpret_cast<const __m128i*>(in + off + j * Aes256::kBlockSize);
+      auto* dst = reinterpret_cast<__m128i*>(out + off + j * Aes256::kBlockSize);
+      _mm_storeu_si128(dst, _mm_xor_si128(_mm_loadu_si128(src), b[j]));
+    }
+  }
+  for (; off < n; off += Aes256::kBlockSize) {
+    __m128i b = _mm_xor_si128(_mm_set_epi64x(static_cast<long long>(__builtin_bswap64(lo)),
+                                             static_cast<long long>(__builtin_bswap64(hi))),
+                              rk[0]);
+    if (++lo == 0) ++hi;
+    for (int r = 1; r < kRounds; ++r) b = _mm_aesenc_si128(b, rk[r]);
+    b = _mm_aesenclast_si128(b, rk[kRounds]);
+    Byte keystream[Aes256::kBlockSize];
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(keystream), b);
+    const std::size_t take = std::min<std::size_t>(Aes256::kBlockSize, n - off);
+    for (std::size_t i = 0; i < take; ++i) {
+      out[off + i] = static_cast<Byte>(in[off + i] ^ keystream[i]);
+    }
+  }
+}
+#endif
+
+}  // namespace
+
+CtrKernel aesni_ctr_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("aes") && __builtin_cpu_supports("ssse3")) {
+    return &aes256_ctr_aesni;
+  }
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+Bytes aes256_ctr(BytesView key, BytesView iv, BytesView data) {
+  if (iv.size() != Aes256::kBlockSize) {
+    throw std::invalid_argument("aes256_ctr: iv must be 16 bytes");
+  }
+  static const detail::CtrKernel kernel = [] {
+    const detail::CtrKernel hw = detail::aesni_ctr_kernel();
+    return hw != nullptr ? hw : &detail::aes256_ctr_portable;
+  }();
+  const Aes256 cipher(key);
+  Bytes out(data.size());
+  kernel(cipher, iv.data(), data.data(), out.data(), data.size());
   return out;
 }
 
@@ -179,9 +292,7 @@ Bytes seal(BytesView key, BytesView plaintext, BytesView aad, BytesView iv16) {
 
   const Bytes ct = aes256_ctr(enc_key, iv16, plaintext);
   Bytes out = concat({iv16, ct});
-  Bytes mac_input = concat({aad, out});
-  const Bytes tag = hmac_sha256(mac_key, mac_input);
-  append(out, tag);
+  append(out, hmac_sha256(mac_key, mac_input(aad, out)));
   return out;
 }
 
@@ -195,8 +306,7 @@ Result<Bytes> open_sealed(BytesView key, BytesView box, BytesView aad) {
 
   const BytesView body = box.subspan(0, box.size() - kTag);
   const BytesView tag = box.subspan(box.size() - kTag);
-  const Bytes mac_input = concat({aad, body});
-  const Bytes expect = hmac_sha256(mac_key, mac_input);
+  const Bytes expect = hmac_sha256(mac_key, mac_input(aad, body));
   if (!ct_equal(expect, tag)) {
     return Error{ErrorCode::kIntegrity, "sealed box MAC mismatch"};
   }

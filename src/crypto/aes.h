@@ -1,7 +1,8 @@
 // AES-256 (FIPS 197) block cipher with CTR-mode streaming, plus an
 // encrypt-then-MAC "sealed box" used for the keystore and the local cache.
 // The S-box and round constants are computed from the GF(2^8) definition at
-// first use rather than hardcoded.
+// first use rather than hardcoded. CTR runs on AES-NI when the CPU has it,
+// with the same key schedule; encrypt_block is the portable reference.
 #pragma once
 
 #include <array>
@@ -24,6 +25,11 @@ class Aes256 {
   /// Encrypts a single 16-byte block in place.
   void encrypt_block(Byte block[kBlockSize]) const;
 
+  /// The FIPS-197 key schedule: 4 big-endian words per round key.
+  const std::array<std::uint32_t, 4 * (kRounds + 1)>& round_keys() const noexcept {
+    return round_keys_;
+  }
+
  private:
   std::array<std::uint32_t, 4 * (kRounds + 1)> round_keys_{};
 };
@@ -33,7 +39,8 @@ class Aes256 {
 Bytes aes256_ctr(BytesView key, BytesView iv, BytesView data);
 
 /// Authenticated encryption: AES-256-CTR + HMAC-SHA-256 (encrypt-then-MAC).
-/// Output layout: iv(16) || ciphertext || tag(32).
+/// Output layout: iv(16) || ciphertext || tag(32). The tag covers
+/// u64be(|aad|) || aad || iv || ciphertext.
 Bytes seal(BytesView key, BytesView plaintext, BytesView aad, BytesView iv16);
 
 /// Verifies and decrypts a sealed box. Fails with kIntegrity on any tampering.

@@ -1,4 +1,5 @@
-// SHA-256 (FIPS 180-4), streaming and one-shot.
+// SHA-256 (FIPS 180-4), streaming and one-shot. Blocks compress through
+// SHA-NI when the CPU has it, else through the portable scalar rounds.
 #pragma once
 
 #include <array>
@@ -21,8 +22,6 @@ class Sha256 {
   static Bytes hash(BytesView data);
 
  private:
-  void process_block(const Byte* block);
-
   std::array<std::uint32_t, 8> h_;
   std::array<Byte, kBlockSize> buf_{};
   std::size_t buf_len_ = 0;

@@ -1,9 +1,9 @@
 #include "diff/binary_diff.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_map>
-
-#include "crypto/sha256.h"
+#include <vector>
 
 namespace rockfs::diff {
 
@@ -15,33 +15,36 @@ namespace {
 constexpr Byte kOpCopy = 0x01;
 constexpr Byte kOpInsert = 0x02;
 
-// Adler-32-style weak rolling checksum.
+// Adler-32-style weak rolling checksum over a fixed-length window. Sums stay
+// reduced below kMod by conditional subtraction; the byte leaving the window
+// takes (len·out) mod kMod from a table, so no step divides.
 struct RollingHash {
+  static constexpr std::uint32_t kMod = 65521;
+
   std::uint32_t a = 0;
   std::uint32_t b = 0;
-  std::size_t len = 0;
+  std::array<std::uint32_t, 256> leave{};  // (len·x) mod kMod
 
-  static constexpr std::uint32_t kMod = 65521;
+  explicit RollingHash(std::size_t len) {
+    const auto len_mod = static_cast<std::uint32_t>(len % kMod);
+    for (std::uint32_t x = 0; x < 256; ++x) leave[x] = len_mod * x % kMod;
+  }
+
+  static std::uint32_t reduce(std::uint32_t v) { return v >= kMod ? v - kMod : v; }
 
   void init(BytesView window) {
     a = b = 0;
-    len = window.size();
     for (const Byte x : window) {
-      a = (a + x) % kMod;
-      b = (b + a) % kMod;
+      a = reduce(a + x);
+      b = reduce(b + a);
     }
   }
   void roll(Byte out, Byte in) {
-    a = (a + kMod - out + in) % kMod;
-    b = (b + kMod - static_cast<std::uint32_t>(len % kMod) * out % kMod + a) % kMod;
+    a = reduce(reduce(a + in) + kMod - out);
+    b = reduce(reduce(b + kMod - leave[out]) + a);
   }
   std::uint32_t digest() const { return (b << 16) | a; }
 };
-
-std::uint64_t strong_hash(BytesView block) {
-  const Bytes h = crypto::sha256(block);
-  return read_u64(h, 0);
-}
 
 std::size_t pick_block_size(std::size_t old_size) {
   if (old_size < 4096) return std::max<std::size_t>(old_size / 4, 16);
@@ -71,18 +74,18 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
   }
   const std::size_t bs = block_size != 0 ? block_size : pick_block_size(old_data.size());
 
-  // Index old blocks by weak hash -> (strong hash, offset).
-  struct BlockRef {
-    std::uint64_t strong;
-    std::size_t offset;
-  };
-  std::unordered_multimap<std::uint32_t, BlockRef> index;
+  // Index old blocks by weak hash -> offset; a byte comparison decides each
+  // candidate. The bitmap over the digests' low 16 bits skips the hash-table
+  // lookup for most windows that match nothing.
+  std::unordered_multimap<std::uint32_t, std::size_t> index;
   index.reserve(old_data.size() / bs + 1);
-  RollingHash wh;
+  std::vector<std::uint64_t> present(65536 / 64, 0);
+  RollingHash rh(bs);
   for (std::size_t off = 0; off + bs <= old_data.size(); off += bs) {
-    const BytesView block = old_data.subspan(off, bs);
-    wh.init(block);
-    index.emplace(wh.digest(), BlockRef{strong_hash(block), off});
+    rh.init(old_data.subspan(off, bs));
+    const std::uint32_t d = rh.digest();
+    index.emplace(d, off);
+    present[(d & 0xFFFF) >> 6] |= std::uint64_t{1} << (d & 63);
   }
 
   Bytes pending_literal;
@@ -103,7 +106,6 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
     pending_literal.clear();
   };
 
-  RollingHash rh;
   bool rh_valid = false;
   while (pos < new_data.size()) {
     if (pos + bs > new_data.size()) {
@@ -117,17 +119,16 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
       rh.init(new_data.subspan(pos, bs));
       rh_valid = true;
     }
-    // Look up the window.
+    // Look up the window; the first candidate whose bytes match wins.
     std::size_t match_off = SIZE_MAX;
-    auto [it, end] = index.equal_range(rh.digest());
-    if (it != end) {
-      const std::uint64_t strong = strong_hash(new_data.subspan(pos, bs));
+    const std::uint32_t d = rh.digest();
+    if ((present[(d & 0xFFFF) >> 6] >> (d & 63)) & 1) {
+      auto [it, end] = index.equal_range(d);
       for (; it != end; ++it) {
-        if (it->second.strong == strong &&
-            std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
+        if (std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
                        new_data.begin() + static_cast<std::ptrdiff_t>(pos + bs),
-                       old_data.begin() + static_cast<std::ptrdiff_t>(it->second.offset))) {
-          match_off = it->second.offset;
+                       old_data.begin() + static_cast<std::ptrdiff_t>(it->second))) {
+          match_off = it->second;
           break;
         }
       }

@@ -32,51 +32,26 @@ std::size_t ReedSolomon::shard_size(std::size_t data_size) const {
   return (data_size + k_ - 1) / k_;
 }
 
-std::vector<Shard> ReedSolomon::encode(BytesView data) const {
-  const std::size_t stride = std::max<std::size_t>(shard_size(data.size()), 1);
-  std::vector<Shard> shards(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    shards[i].index = i;
-    shards[i].data.assign(stride, 0);
-  }
-  // Column `pos` of the stripe is the k-vector (data[pos], data[stride+pos], ...).
-  for (std::size_t pos = 0; pos < stride; ++pos) {
-    Byte column[256] = {};
-    for (std::size_t row = 0; row < k_; ++row) {
-      const std::size_t idx = row * stride + pos;
-      column[row] = idx < data.size() ? data[idx] : 0;
-    }
-    for (std::size_t out_row = 0; out_row < n_; ++out_row) {
-      std::uint8_t acc = 0;
-      for (std::size_t c = 0; c < k_; ++c) {
-        acc ^= gf::mul(coding_.at(out_row, c), column[c]);
-      }
-      shards[out_row].data[pos] = acc;
-    }
-  }
-  return shards;
-}
+std::vector<Shard> ReedSolomon::encode(BytesView data) const { return encode(data, nullptr); }
 
 std::vector<Shard> ReedSolomon::encode(BytesView data, common::Executor* exec) const {
-  if (exec == nullptr || exec->concurrency() <= 1) return encode(data);
   const std::size_t stride = std::max<std::size_t>(shard_size(data.size()), 1);
   std::vector<Shard> shards(n_);
   for (std::size_t i = 0; i < n_; ++i) {
     shards[i].index = i;
     shards[i].data.assign(stride, 0);
   }
-  // Row-major split: each branch owns one output shard, so the writes are
-  // disjoint and the arithmetic per byte matches the sequential overload.
-  common::parallel_for_index(exec, n_, [&](std::size_t out_row) {
-    Bytes& out = shards[out_row].data;
-    for (std::size_t pos = 0; pos < stride; ++pos) {
-      std::uint8_t acc = 0;
-      for (std::size_t c = 0; c < k_; ++c) {
-        const std::size_t idx = c * stride + pos;
-        const Byte b = idx < data.size() ? data[idx] : 0;
-        acc ^= gf::mul(coding_.at(out_row, c), b);
-      }
-      out[pos] = acc;
+  // Row-major: output shard `row` accumulates coding(row, c) x data shard c.
+  // Data shard c is data[c*stride, (c+1)*stride); bytes past the end of
+  // `data` are zero padding and contribute nothing. Each branch owns one
+  // output shard, so concurrent rows write disjoint buffers.
+  common::parallel_for_index(exec, n_, [&](std::size_t row) {
+    Bytes& out = shards[row].data;
+    for (std::size_t c = 0; c < k_; ++c) {
+      const std::size_t begin = std::min(c * stride, data.size());
+      const std::size_t len = std::min(stride, data.size() - begin);
+      gf::mul_add_region(coding_.at(row, c), data.subspan(begin, len),
+                         std::span<Byte>(out).first(len));
     }
   });
   return shards;
@@ -105,15 +80,14 @@ Result<Bytes> ReedSolomon::decode(const std::vector<Shard>& shards,
   for (std::size_t i = 0; i < k_; ++i) rows[i] = chosen[i]->index;
   const gf::Matrix dec = coding_.select_rows(rows).inverse();
 
+  // Row-major, like encode: output row r (bytes r*stride onward, cut at
+  // data_size) accumulates dec(r, c) x chosen shard c.
   Bytes out(data_size, 0);
-  for (std::size_t pos = 0; pos < stride; ++pos) {
-    Byte column[256];
-    for (std::size_t i = 0; i < k_; ++i) column[i] = chosen[i]->data[pos];
-    for (std::size_t row = 0; row < k_; ++row) {
-      std::uint8_t acc = 0;
-      for (std::size_t c = 0; c < k_; ++c) acc ^= gf::mul(dec.at(row, c), column[c]);
-      const std::size_t idx = row * stride + pos;
-      if (idx < data_size) out[idx] = acc;
+  for (std::size_t row = 0; row < k_ && row * stride < data_size; ++row) {
+    const std::size_t len = std::min(stride, data_size - row * stride);
+    const std::span<Byte> dst = std::span<Byte>(out).subspan(row * stride, len);
+    for (std::size_t c = 0; c < k_; ++c) {
+      gf::mul_add_region(dec.at(row, c), BytesView(chosen[c]->data).first(len), dst);
     }
   }
   return out;

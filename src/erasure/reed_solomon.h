@@ -35,11 +35,12 @@ class ReedSolomon {
   std::size_t shard_size(std::size_t data_size) const;
 
   /// Encodes into n shards (the first k are the systematic data shards).
+  /// Same as encode(data, nullptr).
   std::vector<Shard> encode(BytesView data) const;
 
   /// Same result, with the n output rows computed concurrently on `exec`
-  /// (barrier join; each row writes a disjoint shard). Byte-identical to the
-  /// sequential overload; falls back to it when exec is null or serial.
+  /// (barrier join; each row writes a disjoint shard). Runs inline when exec
+  /// is null or serial.
   std::vector<Shard> encode(BytesView data, common::Executor* exec) const;
 
   /// Reconstructs the original `data_size` bytes from any >= k distinct shards.

@@ -3,6 +3,12 @@
 #include <array>
 #include <stdexcept>
 
+#include "gf/kernels.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace rockfs::gf {
 
 namespace {
@@ -65,6 +71,82 @@ std::uint8_t poly_eval(BytesView coeffs, std::uint8_t x) {
     acc = static_cast<std::uint8_t>(mul(acc, x) ^ coeffs[i - 1]);
   }
   return acc;
+}
+
+namespace detail {
+
+namespace {
+
+// Split-nibble product tables (Plank, Greenan and Miller, "Screaming Fast
+// Galois Field Arithmetic Using Intel SIMD Instructions", FAST '13):
+// c·x = lo[c][x & 15] ^ hi[c][x >> 4], so one 16-entry table pair per
+// coefficient serves both a pshufb lane lookup and the scalar loop.
+struct NibbleTables {
+  alignas(16) std::uint8_t lo[256][16];
+  alignas(16) std::uint8_t hi[256][16];
+};
+
+const NibbleTables& nibble_tables() {
+  static const NibbleTables t = [] {
+    NibbleTables out{};
+    for (unsigned c = 0; c < 256; ++c) {
+      for (unsigned x = 0; x < 16; ++x) {
+        out.lo[c][x] = mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x));
+        out.hi[c][x] = mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(x << 4));
+      }
+    }
+    return out;
+  }();
+  return t;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+__attribute__((target("ssse3"))) void mul_add_region_ssse3(std::uint8_t c, const Byte* in,
+                                                           Byte* out, std::size_t n) {
+  const NibbleTables& t = nibble_tables();
+  const __m128i lo = _mm_load_si128(reinterpret_cast<const __m128i*>(t.lo[c]));
+  const __m128i hi = _mm_load_si128(reinterpret_cast<const __m128i*>(t.hi[c]));
+  const __m128i nibble = _mm_set1_epi8(0x0f);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
+    const __m128i product =
+        _mm_xor_si128(_mm_shuffle_epi8(lo, _mm_and_si128(x, nibble)),
+                      _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(x, 4), nibble)));
+    __m128i* dst = reinterpret_cast<__m128i*>(out + i);
+    _mm_storeu_si128(dst, _mm_xor_si128(_mm_loadu_si128(dst), product));
+  }
+  mul_add_region_portable(c, in + i, out + i, n - i);
+}
+#endif
+
+}  // namespace
+
+void mul_add_region_portable(std::uint8_t c, const Byte* in, Byte* out, std::size_t n) {
+  const NibbleTables& t = nibble_tables();
+  const std::uint8_t* lo = t.lo[c];
+  const std::uint8_t* hi = t.hi[c];
+  for (std::size_t i = 0; i < n; ++i) out[i] ^= lo[in[i] & 0x0f] ^ hi[in[i] >> 4];
+}
+
+RegionKernel ssse3_region_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("ssse3")) return &mul_add_region_ssse3;
+#endif
+  return nullptr;
+}
+
+}  // namespace detail
+
+void mul_add_region(std::uint8_t c, BytesView in, std::span<Byte> out) {
+  if (in.size() != out.size()) throw std::invalid_argument("mul_add_region: size mismatch");
+  if (c == 0 || in.empty()) return;
+  static const detail::RegionKernel kernel = [] {
+    const detail::RegionKernel simd = detail::ssse3_region_kernel();
+    return simd != nullptr ? simd : &detail::mul_add_region_portable;
+  }();
+  kernel(c, in.data(), out.data(), in.size());
 }
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)

@@ -1,5 +1,6 @@
 // Arithmetic in GF(2^8) modulo x^8+x^4+x^3+x^2+1 (0x11D, the conventional
-// Reed-Solomon polynomial), plus dense matrices with Gauss-Jordan inversion.
+// Reed-Solomon polynomial), a region multiply-accumulate for bulk coding,
+// plus dense matrices with Gauss-Jordan inversion.
 // Shared by the erasure coder (src/erasure) and byte-wise Shamir secret
 // sharing (src/secretshare).
 #pragma once
@@ -28,6 +29,11 @@ std::uint8_t pow(std::uint8_t a, unsigned e);
 
 /// Evaluates a polynomial (coefficients low-degree first) at x.
 std::uint8_t poly_eval(BytesView coeffs, std::uint8_t x);
+
+/// Region multiply-accumulate: out[i] ^= c·in[i]. Sizes must match (throws
+/// std::invalid_argument otherwise). Split-nibble tables, through SSSE3
+/// pshufb when the CPU has it; the result does not depend on the path.
+void mul_add_region(std::uint8_t c, BytesView in, std::span<Byte> out);
 
 /// Dense row-major matrix over GF(2^8).
 class Matrix {

@@ -52,10 +52,9 @@ RecoveryService::RecoveryService(std::string user_id, RecoveryConfig config,
     // The admin chain gets the same write-ahead journal protection as the
     // user chain: a crashed recovery's half-appended records are repaired
     // here before any new "recover"/"snapshot" entry.
-    recovery_log_ = make_resumed_log_service("admin:" + user_id_, storage_,
-                                             config_.admin_tokens, coordination_, clock_,
-                                             admin_chain_keys_,
-                                             LogServiceOptions{/*enable_journal=*/true});
+    recovery_log_ = make_resumed_log_service(
+        "admin:" + user_id_, storage_, config_.admin_tokens, coordination_, clock_,
+        admin_chain_keys_, LogServiceOptions{/*enable_journal=*/true, /*crash=*/nullptr});
   }
 }
 

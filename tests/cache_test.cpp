@@ -79,7 +79,9 @@ TEST(ClientCacheUnit, NegativeEntriesExpireAndClear) {
 TEST(ClientCacheUnit, DropAllClearsEveryTierAndBumpsGeneration) {
   cache::ClientCache c;
   c.put_data("/f", Bytes{Byte{1}}, 1);
-  c.put_meta("/f", cache::MetaEntry{.version = 1});
+  cache::MetaEntry meta;
+  meta.version = 1;
+  c.put_meta("/f", meta);
   c.note_missing("/missing", 0);
   const auto gen = c.drop_generation();
 

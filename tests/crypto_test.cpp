@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "common/hex.h"
+#include "common/rng.h"
 #include "crypto/aes.h"
 #include "crypto/bigint.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
 #include "crypto/sha512.h"
@@ -49,6 +53,58 @@ TEST(Sha256, MillionA) {
   for (int i = 0; i < 100; ++i) ctx.update(chunk);
   EXPECT_EQ(hex_encode(ctx.finish()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// The compression kernels are compared on whole messages padded here by
+// hand, in one multi-block call. Buffers are sized exactly, so ASan flags
+// any read past a tail.
+Bytes sha256_with(detail::CompressKernel kernel, BytesView msg) {
+  Bytes padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % Sha256::kBlockSize != 56) padded.push_back(0x00);
+  append_u64(padded, msg.size() * 8);
+  padded.shrink_to_fit();
+  std::uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  kernel(state, padded.data(), padded.size() / Sha256::kBlockSize);
+  Bytes out;
+  for (const std::uint32_t w : state) append_u32(out, w);
+  return out;
+}
+
+TEST(Sha256, PortableKernelMatchesStreamingHash) {
+  Rng rng(20);
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    const Bytes msg = rng.next_bytes(n);
+    ASSERT_EQ(sha256_with(&detail::sha256_compress_portable, msg), sha256(msg)) << "n=" << n;
+  }
+}
+
+TEST(Sha256, ShaNiMatchesPortable) {
+  const detail::CompressKernel shani = detail::shani_compress_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  Rng rng(21);
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    const Bytes msg = rng.next_bytes(n);
+    ASSERT_EQ(sha256_with(shani, msg), sha256_with(&detail::sha256_compress_portable, msg))
+        << "n=" << n;
+  }
+}
+
+TEST(Sha256, EverySplitOfAThreeBlockUpdate) {
+  Rng rng(22);
+  const Bytes data = rng.next_bytes(3 * Sha256::kBlockSize);
+  const Bytes want = sha256(data);
+  const BytesView view(data);
+  for (std::size_t i = 0; i <= data.size(); ++i) {
+    for (std::size_t j = i; j <= data.size(); ++j) {
+      Sha256 ctx;
+      ctx.update(view.subspan(0, i));
+      ctx.update(view.subspan(i, j - i));
+      ctx.update(view.subspan(j));
+      ASSERT_EQ(ctx.finish(), want) << "splits " << i << ", " << j;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- SHA-512
@@ -151,14 +207,50 @@ TEST(Aes256Ctr, RoundTripAndNonBlockLength) {
 }
 
 TEST(Aes256Ctr, CounterIncrementCrossesByteBoundary) {
+  // The counter block steps as one 128-bit big-endian integer: a carry
+  // crosses bytes, crosses from the low into the high 64-bit half, and
+  // FF x16 wraps to zero. A 32- or 64-bit-only increment fails a case.
   const Bytes key(32, 0x01);
-  Bytes iv(16, 0x00);
-  iv[15] = 0xFF;  // forces a carry into byte 14 after the first block
-  const Bytes pt(48, 0x00);
-  const Bytes ks = aes256_ctr(key, iv, pt);
-  // Keystream blocks must all differ (counter really advanced).
-  EXPECT_NE(Bytes(ks.begin(), ks.begin() + 16), Bytes(ks.begin() + 16, ks.begin() + 32));
-  EXPECT_NE(Bytes(ks.begin() + 16, ks.begin() + 32), Bytes(ks.begin() + 32, ks.end()));
+  const Aes256 cipher(key);
+  Bytes byte_carry(16, 0x00), half_carry(16, 0x41), wrap(16, 0xFF);
+  byte_carry[15] = 0xFF;
+  std::fill(half_carry.begin() + 8, half_carry.end(), 0xFF);
+  Bytes byte_next(16, 0x00), half_next(8, 0x41), wrap_next(16, 0x00);
+  byte_next[14] = 0x01;
+  half_next[7] = 0x42;
+  half_next.resize(16, 0x00);
+  for (auto [iv, next] : {std::pair{byte_carry, byte_next}, std::pair{half_carry, half_next},
+                          std::pair{wrap, wrap_next}}) {
+    cipher.encrypt_block(next.data());
+    const Bytes ks = aes256_ctr(key, iv, Bytes(32, 0x00));
+    EXPECT_EQ(Bytes(ks.begin() + 16, ks.end()), next) << "iv=" << hex_encode(iv);
+  }
+}
+
+TEST(Aes256Ctr, AesNiMatchesPortable) {
+  const detail::CtrKernel aesni = detail::aesni_ctr_kernel();
+  if (aesni == nullptr) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(25);
+  const Aes256 cipher(rng.next_bytes(32));
+  std::vector<Bytes> ivs;
+  for (int i = 0; i < 4; ++i) ivs.push_back(rng.next_bytes(16));
+  Bytes low_half_wraps = rng.next_bytes(16);
+  std::fill(low_half_wraps.begin() + 8, low_half_wraps.end(), 0xFF);
+  ivs.push_back(low_half_wraps);
+  ivs.push_back(Bytes(16, 0xFF));
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(4096 - 17);
+  lengths.push_back(4096 + 17);
+  for (const Bytes& iv : ivs) {
+    for (const std::size_t n : lengths) {
+      const Bytes in = rng.next_bytes(n);
+      Bytes want(n), got(n);
+      detail::aes256_ctr_portable(cipher, iv.data(), in.data(), want.data(), n);
+      aesni(cipher, iv.data(), in.data(), got.data(), n);
+      ASSERT_EQ(got, want) << "n=" << n << " iv=" << hex_encode(iv);
+    }
+  }
 }
 
 TEST(SealedBox, RoundTrip) {
@@ -186,6 +278,29 @@ TEST(SealedBox, WrongKeyOrAadFails) {
   EXPECT_EQ(open_sealed(other, box, to_bytes("aad")).code(), ErrorCode::kIntegrity);
   EXPECT_EQ(open_sealed(key, box, to_bytes("AAD")).code(), ErrorCode::kIntegrity);
   EXPECT_EQ(open_sealed(key, Bytes(10, 0), {}).code(), ErrorCode::kCorrupted);
+}
+
+TEST(SealedBox, AadBoundaryIsAuthenticated) {
+  // The tag covers the AAD's length, so no byte can slide between the AAD
+  // and the IV: a cache entry sealed for (/f, version 12) with '2'
+  // prepended must not open as (/f, version 1), and vice versa.
+  const Bytes key(32, 0x07);
+  const Bytes payload = to_bytes("cached file contents....");
+  const Bytes v1 = to_bytes("rockfs.cache.v1|/f|1");
+  const Bytes v12 = to_bytes("rockfs.cache.v1|/f|12");
+
+  const Bytes box12 = seal(key, payload, v12, Bytes(16, 0x11));
+  ASSERT_TRUE(open_sealed(key, box12, v12).ok());
+  Bytes prepended{Byte{'2'}};
+  append(prepended, box12);
+  EXPECT_EQ(open_sealed(key, prepended, v1).code(), ErrorCode::kIntegrity);
+
+  Bytes iv = Bytes(16, 0x11);
+  iv[0] = '2';
+  const Bytes box1 = seal(key, payload, v1, iv);
+  ASSERT_TRUE(open_sealed(key, box1, v1).ok());
+  const Bytes stripped(box1.begin() + 1, box1.end());
+  EXPECT_EQ(open_sealed(key, stripped, v12).code(), ErrorCode::kIntegrity);
 }
 
 // ---------------------------------------------------------------- DRBG

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 
+#include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "diff/binary_diff.h"
 #include "fssagg/fssagg.h"
 
@@ -221,6 +225,85 @@ TEST(Diff, RandomEditScriptRoundTrips) {
     const auto patched = diff::patch(base, delta);
     ASSERT_TRUE(patched.ok()) << "trial " << trial;
     EXPECT_EQ(*patched, modified) << "trial " << trial;
+  }
+}
+
+// encode() output for a grid of inputs, edits and block sizes, pinned by
+// digest. Stored log deltas must not change with the matcher's internals:
+// the candidate order and the first accepted match decide the bytes.
+TEST(Diff, EncodeOutputIsPinned) {
+  enum class Kind { kRandom, kTwoBit, kZero };
+  auto make = [](Kind kind, Rng& rng, std::size_t n) {
+    if (kind == Kind::kRandom) return rng.next_bytes(n);
+    Bytes out(n, 0);
+    if (kind == Kind::kTwoBit) {
+      for (Byte& b : out) b = static_cast<Byte>("ACGT"[rng.next_below(4)]);
+    }
+    return out;
+  };
+  const std::map<std::string, std::string> pinned = {
+      {"random/overwrite/0", "807727314abf0744"},
+      {"random/overwrite/16", "dd3dee3409cffa7c"},
+      {"random/overwrite/37", "6332b9299d0162c2"},
+      {"random/insert/0", "944d037987c843a1"},
+      {"random/insert/16", "5739c13683c69030"},
+      {"random/insert/37", "fe66089fbbb66122"},
+      {"random/delete/0", "34f9bd1a3adfbff6"},
+      {"random/delete/16", "6812053a892fce3f"},
+      {"random/delete/37", "da45e9a8036dfdca"},
+      {"2bit/overwrite/0", "b9756ea16253ab97"},
+      {"2bit/overwrite/16", "2bd976324cc7f614"},
+      {"2bit/overwrite/37", "f88aacd14422305d"},
+      {"2bit/insert/0", "6b0a579265a543ed"},
+      {"2bit/insert/16", "8485fabe7b11698e"},
+      {"2bit/insert/37", "7add8bcbbfa0a649"},
+      {"2bit/delete/0", "5d58e1bb200fa9b0"},
+      {"2bit/delete/16", "d0283de912c06ff1"},
+      {"2bit/delete/37", "dc8b16860a6f6f0a"},
+      {"zero/overwrite/0", "955ba0853dfd1b36"},
+      {"zero/overwrite/16", "75344a3e27fd6325"},
+      {"zero/overwrite/37", "6b3e11345e4507bb"},
+      {"zero/insert/0", "435017f9f9bf0b02"},
+      {"zero/insert/16", "c143d3745f9a2d0c"},
+      {"zero/insert/37", "bd6d1f6ee14ce923"},
+      {"zero/delete/0", "f233b61718678000"},
+      {"zero/delete/16", "ccda0968f7347ec7"},
+      {"zero/delete/37", "77c6dffa30e6306f"},
+  };
+  constexpr std::size_t kSize = 20'000;
+  const std::pair<Kind, const char*> kinds[] = {
+      {Kind::kRandom, "random"}, {Kind::kTwoBit, "2bit"}, {Kind::kZero, "zero"}};
+  std::uint64_t seed = 100;
+  for (const auto& [kind, kind_name] : kinds) {
+    for (const char* edit : {"overwrite", "insert", "delete"}) {
+      for (const std::size_t block : {std::size_t{0}, std::size_t{16}, std::size_t{37}}) {
+        Rng rng(seed++);
+        const Bytes base = make(kind, rng, kSize);
+        // Edited bytes come from the input's own distribution; the all-zero
+        // file takes 2-bit bytes so that its edits change something.
+        const Kind fill = kind == Kind::kZero ? Kind::kTwoBit : kind;
+        const std::size_t span = kSize * 3 / 10;
+        Bytes modified = base;
+        if (std::string(edit) == "overwrite") {
+          const Bytes fresh = make(fill, rng, span);
+          std::copy(fresh.begin(), fresh.end(), modified.begin() + kSize / 3);
+        } else if (std::string(edit) == "insert") {
+          const Bytes fresh = make(fill, rng, span);
+          modified.insert(modified.begin() + kSize / 2, fresh.begin(), fresh.end());
+        } else {
+          modified.erase(modified.begin() + kSize / 4, modified.begin() + kSize / 4 + span);
+        }
+        const Bytes delta = diff::encode(base, modified, block);
+        const auto patched = diff::patch(base, delta);
+        ASSERT_TRUE(patched.ok());
+        EXPECT_EQ(*patched, modified);
+        const std::string name =
+            std::string(kind_name) + "/" + edit + "/" + std::to_string(block);
+        const auto want = pinned.find(name);
+        ASSERT_NE(want, pinned.end()) << name;
+        EXPECT_EQ(hex_encode(crypto::sha256(delta)).substr(0, 16), want->second) << name;
+      }
+    }
   }
 }
 

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
+#include "common/executor.h"
 #include "common/rng.h"
 #include "erasure/reed_solomon.h"
 #include "gf/gf256.h"
+#include "gf/kernels.h"
 
 namespace rockfs {
 namespace {
@@ -64,6 +67,52 @@ TEST(Gf256, PolyEvalHorner) {
       static_cast<std::uint8_t>(5 ^ gf::mul(3, 2) ^ gf::mul(2, 2));
   EXPECT_EQ(gf::poly_eval(coeffs, 2), expected);
   EXPECT_EQ(gf::poly_eval(coeffs, 0), 5);
+}
+
+// ------------------------------------------------------------ region op
+
+// A region kernel against per-byte gf::mul: every coefficient, lengths 0..96
+// and buffer offsets 0..15 (input and output misaligned differently). The
+// buffers end exactly at the region, so ASan flags any access past a tail.
+void expect_region_kernel_matches_mul(gf::detail::RegionKernel kernel) {
+  Rng rng(30);
+  for (unsigned c = 0; c < 256; ++c) {
+    const auto coeff = static_cast<std::uint8_t>(c);
+    for (std::size_t len = 0; len <= 96; ++len) {
+      for (std::size_t in_off = 0; in_off < 16; ++in_off) {
+        const std::size_t out_off = (in_off * 5) % 16;
+        const Bytes in = rng.next_bytes(in_off + len);
+        Bytes out = rng.next_bytes(out_off + len);
+        Bytes want = out;
+        for (std::size_t i = 0; i < len; ++i) {
+          want[out_off + i] ^= gf::mul(coeff, in[in_off + i]);
+        }
+        kernel(coeff, in.data() + in_off, out.data() + out_off, len);
+        ASSERT_EQ(out, want) << "c=" << c << " len=" << len << " offset=" << in_off;
+      }
+    }
+  }
+}
+
+TEST(GfRegion, PortableMatchesPerByteMul) {
+  expect_region_kernel_matches_mul(&gf::detail::mul_add_region_portable);
+}
+
+TEST(GfRegion, Ssse3MatchesPerByteMul) {
+  const gf::detail::RegionKernel ssse3 = gf::detail::ssse3_region_kernel();
+  if (ssse3 == nullptr) GTEST_SKIP() << "CPU lacks SSSE3";
+  expect_region_kernel_matches_mul(ssse3);
+}
+
+TEST(GfRegion, PublicOpAccumulatesAndChecksSizes) {
+  const Bytes in = {1, 2, 3, 0x80};
+  Bytes out = {9, 9, 9, 9};
+  gf::mul_add_region(0, in, out);
+  EXPECT_EQ(out, (Bytes{9, 9, 9, 9}));
+  gf::mul_add_region(7, in, out);
+  for (std::size_t i = 0; i < in.size(); ++i) EXPECT_EQ(out[i], 9 ^ gf::mul(7, in[i]));
+  Bytes short_out(3);
+  EXPECT_THROW(gf::mul_add_region(7, in, short_out), std::invalid_argument);
 }
 
 TEST(GfMatrix, IdentityMultiply) {
@@ -220,6 +269,52 @@ TEST(ReedSolomon, DecodeFromParityOnly) {
   const auto out = rs.decode({shards[2], shards[3]}, data.size());
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(*out, data);
+}
+
+TEST(ReedSolomon, MatchesPerByteFormula) {
+  // Encode against shard[r][pos] = sum_c coding(r, c) * data[c * stride + pos]
+  // (zero past the end of data), computed with per-byte gf::mul from the
+  // documented systematic matrix; decode from every cyclic window of k shards.
+  Rng rng(7);
+  common::ThreadPool pool(3);
+  const struct {
+    std::size_t k, n;
+  } geometries[] = {{1, 1}, {2, 4}, {3, 7}, {10, 14}};
+  for (const auto& g : geometries) {
+    const erasure::ReedSolomon rs(g.k, g.n);
+    std::vector<std::size_t> top(g.k);
+    for (std::size_t i = 0; i < g.k; ++i) top[i] = i;
+    const gf::Matrix vm = gf::Matrix::vandermonde(g.n, g.k);
+    const gf::Matrix coding = vm.multiply(vm.select_rows(top).inverse());
+    const std::size_t k = g.k;
+    for (const std::size_t size : {std::size_t{0}, k - 1, k + 1, 5 * k + 3, 97 * k + 1}) {
+      const Bytes data = rng.next_bytes(size);
+      const std::size_t stride = std::max<std::size_t>(rs.shard_size(size), 1);
+      const auto shards = rs.encode(data);
+      ASSERT_EQ(shards.size(), g.n);
+      for (std::size_t r = 0; r < g.n; ++r) {
+        Bytes want(stride, 0);
+        for (std::size_t pos = 0; pos < stride; ++pos) {
+          for (std::size_t c = 0; c < g.k; ++c) {
+            const std::size_t idx = c * stride + pos;
+            if (idx < size) want[pos] ^= gf::mul(coding.at(r, c), data[idx]);
+          }
+        }
+        ASSERT_EQ(shards[r].data, want) << "k=" << g.k << " n=" << g.n << " size=" << size
+                                        << " row=" << r;
+      }
+      const auto pooled = rs.encode(data, &pool);
+      for (std::size_t r = 0; r < g.n; ++r) EXPECT_EQ(pooled[r].data, shards[r].data);
+      for (std::size_t start = 0; start < g.n; ++start) {
+        std::vector<erasure::Shard> window;
+        for (std::size_t i = 0; i < g.k; ++i) window.push_back(shards[(start + i) % g.n]);
+        const auto out = rs.decode(window, size);
+        ASSERT_TRUE(out.ok());
+        ASSERT_EQ(*out, data) << "k=" << g.k << " n=" << g.n << " size=" << size
+                              << " first shard=" << start;
+      }
+    }
+  }
 }
 
 }  // namespace

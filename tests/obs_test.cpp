@@ -87,7 +87,9 @@ TEST(Histogram, BucketUpperIsInclusiveEdge) {
   for (std::uint64_t v : {0ull, 1ull, 2ull, 3ull, 4ull, 7ull, 8ull, 1'000'000ull}) {
     const std::size_t b = Histogram::bucket_of(v);
     EXPECT_LE(v, Histogram::bucket_upper(b));
-    if (b > 0) EXPECT_GT(v, Histogram::bucket_upper(b - 1));
+    if (b > 0) {
+      EXPECT_GT(v, Histogram::bucket_upper(b - 1));
+    }
   }
 }
 
@@ -226,9 +228,15 @@ TEST(TracerTest, FanoutChildrenAreParallel) {
   const auto evs = t.events();
   ASSERT_EQ(evs.size(), 7u);
   for (const auto& e : evs) {
-    if (e.name == "branch") EXPECT_EQ(e.kind, SpanKind::kParallel);
-    if (e.name == "inner") EXPECT_EQ(e.kind, SpanKind::kSerial);
-    if (e.name == "group") EXPECT_EQ(e.duration_us, 42u);
+    if (e.name == "branch") {
+      EXPECT_EQ(e.kind, SpanKind::kParallel);
+    }
+    if (e.name == "inner") {
+      EXPECT_EQ(e.kind, SpanKind::kSerial);
+    }
+    if (e.name == "group") {
+      EXPECT_EQ(e.duration_us, 42u);
+    }
   }
 }
 
