@@ -29,10 +29,16 @@ const Point& generator();
 /// Group law.
 Point point_add(const Point& a, const Point& b);
 Point point_double(const Point& a);
-/// k*P via double-and-add. k is taken mod n implicitly by the caller's choice.
+/// k*P for any 256-bit k (so k and k mod n give the same point): a fixed
+/// 4-bit window over a table of 1P..15P, 256 doublings and at most 64 additions.
 Point scalar_mul(const Uint256& k, const Point& p);
-/// k*G.
+/// k*G by a comb: a table of j*16^i*G (i < 64, 1 <= j <= 15, affine, about
+/// 68 KiB) built once per process on first use, thread-safely. k*G is then at
+/// most 64 mixed additions and no doublings.
 Point scalar_mul_base(const Uint256& k);
+/// a*G + b*P with a single conversion to affine: b*P by the window of
+/// scalar_mul, then a*G added through the comb. Schnorr verify's one multiply.
+Point scalar_mul_base_add(const Uint256& a, const Uint256& b, const Point& p);
 Point point_negate(const Point& a);
 
 /// Whether the point satisfies the curve equation (identity counts as valid).
@@ -43,16 +49,24 @@ Bytes point_encode(const Point& p);
 /// Inverse of point_encode; throws std::invalid_argument on malformed or off-curve input.
 Point point_decode(BytesView b);
 
-// Field helpers exposed for tests and PVSS.
+// Field arithmetic mod p, on p's special form 2^256 - (2^32 + 977): the
+// high half of a product folds back as high * (2^32 + 977). Exposed for tests.
+/// a + b and a - b mod p; both inputs must be < p (the result then is).
 Uint256 fe_add(const Uint256& a, const Uint256& b);
 Uint256 fe_sub(const Uint256& a, const Uint256& b);
+/// a * b mod p for any 256-bit inputs; the result is < p.
 Uint256 fe_mul(const Uint256& a, const Uint256& b);
+/// a^(p-2) by the standard addition chain (255 squarings, 15 multiplications);
+/// throws std::invalid_argument for a == 0.
 Uint256 fe_inv(const Uint256& a);
 
-/// Scalar arithmetic mod the group order n.
+/// Scalar arithmetic mod the group order n = 2^256 - c, c < 2^129.
+/// scalar_add/scalar_sub inputs must be < n.
 Uint256 scalar_add(const Uint256& a, const Uint256& b);
 Uint256 scalar_sub(const Uint256& a, const Uint256& b);
+/// a * b mod n for any 256-bit inputs (three folds by c, one subtraction).
 Uint256 scalar_mul_mod_n(const Uint256& a, const Uint256& b);
+/// a^(n-2) mod n; throws std::invalid_argument when a == 0 (mod n).
 Uint256 scalar_inv(const Uint256& a);
 /// Reduces arbitrary 32 bytes to a scalar in [0, n).
 Uint256 scalar_from_bytes(BytesView b32);

@@ -49,6 +49,9 @@ Bytes sign(const KeyPair& key, BytesView message) {
 }
 
 bool verify(const Point& public_key, BytesView message, BytesView signature) {
+  // The identity is no key: s*G == R + e*O holds for R = s*G whatever the
+  // message. An off-curve point is no key either.
+  if (public_key.infinity || !on_curve(public_key)) return false;
   if (signature.size() != kSignatureSize) return false;
   Point r;
   try {
@@ -60,10 +63,8 @@ bool verify(const Point& public_key, BytesView message, BytesView signature) {
   const Uint256 s = Uint256::from_bytes_be(signature.subspan(65, 32));
   if (s >= curve_n()) return false;
   const Uint256 e = challenge(r, public_key, message);
-  // Check s*G == R + e*P.
-  const Point lhs = scalar_mul_base(s);
-  const Point rhs = point_add(r, scalar_mul(e, public_key));
-  return lhs == rhs;
+  // s*G == R + e*P, checked as s*G + (n - e)*P == R with one affine conversion.
+  return scalar_mul_base_add(s, scalar_sub(Uint256(0), e), public_key) == r;
 }
 
 bool verify(BytesView public_key_bytes, BytesView message, BytesView signature) {

@@ -93,8 +93,7 @@ TEST(Lz, RejectsCorruptStreams) {
   bad[8] = 0x7F;
   EXPECT_EQ(lz_decompress(bad).code(), ErrorCode::kCorrupted);
   // Truncation.
-  Bytes trunc = c;
-  trunc.resize(trunc.size() - 2);
+  const Bytes trunc(c.begin(), c.end() - 2);
   EXPECT_EQ(lz_decompress(trunc).code(), ErrorCode::kCorrupted);
   // Declared-size lies are caught.
   Bytes lying = c;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/hex.h"
@@ -420,9 +421,33 @@ TEST(Secp256k1, DoubleMatchesAdd) {
   const Point d = point_double(g);
   EXPECT_EQ(d, point_add(g, g));
   EXPECT_EQ(d, scalar_mul(Uint256(2), g));
-  // Known x-coordinate of 2G.
+  EXPECT_EQ(d, scalar_mul_base(Uint256(2)));
+  // Known coordinates of 2G.
   EXPECT_EQ(d.x.to_hex(),
             "c6047f9441ed7d6d3045406e95c07cd85c778e4b8cef3ca7abac09b95c709ee5");
+  EXPECT_EQ(d.y.to_hex(),
+            "1ae168fea63dc339a3c58419466ceaeef7f632653266d0e1236431a950cfe52a");
+}
+
+TEST(Secp256k1, KnownMultiples) {
+  const Point g = generator();
+  const Point g3{
+      Uint256::from_hex("f9308a019258c31049344f85f89d5229b531c845836f99b08601f113bce036f9"),
+      Uint256::from_hex("388f7b0f632de8140fe337e62a37f3566500a99934c2231b6cb9fd7584b8e672"),
+      false};
+  EXPECT_EQ(scalar_mul_base(Uint256(3)), g3);
+  EXPECT_EQ(scalar_mul(Uint256(3), g), g3);
+  EXPECT_EQ(point_add(point_double(g), g), g3);
+
+  Uint256 n_minus_1;
+  sub_with_borrow(curve_n(), Uint256(1), n_minus_1);
+  const Point minus_g{
+      g.x,
+      Uint256::from_hex("b7c52588d95c3b9aa25b0403f1eef75702e84bb7597aabe663b82f6f04ef2777"),
+      false};
+  EXPECT_EQ(scalar_mul_base(n_minus_1), minus_g);
+  EXPECT_EQ(scalar_mul(n_minus_1, g), minus_g);
+  EXPECT_EQ(point_negate(g), minus_g);
 }
 
 TEST(Secp256k1, AdditionIsCommutativeAndAssociative) {
@@ -465,23 +490,135 @@ TEST(Secp256k1, DecodeRejectsOffCurve) {
 }
 
 TEST(Secp256k1, FastReductionMatchesGenericModP) {
-  // fe_mul uses the special-form reduction for p = 2^256 - 2^32 - 977; it
-  // must agree with the generic bitwise mod on random inputs, including
-  // values just below p (the carry-heavy corner).
+  // The field code folds on p = 2^256 - kC, kC = 2^32 + 977, and uses an
+  // addition chain for the inverse; the generic bitwise bigint functions are
+  // the reference. Edge values sit at the fold's carry corners.
+  const Uint256& p = curve_p();
   Drbg drbg(to_bytes("fe-reduce"));
-  Uint256 p_minus_1;
-  sub_with_borrow(curve_p(), Uint256(1), p_minus_1);
-  std::vector<Uint256> samples{Uint256(0), Uint256(1), p_minus_1};
+  Uint256 p_minus_1, p_minus_2;
+  sub_with_borrow(p, Uint256(1), p_minus_1);
+  sub_with_borrow(p, Uint256(2), p_minus_2);
+  const Uint256 k_c(0x1000003D1ULL);
+  const Uint256 two_255 = Uint256::from_limbs(0, 0, 0, 1ULL << 63);
+  std::vector<Uint256> samples{Uint256(0), Uint256(1), Uint256(2), k_c,
+                               p_minus_2,  p_minus_1,  two_255};
   for (int i = 0; i < 40; ++i) {
-    samples.push_back(mod(Uint512::from_uint256(Uint256::from_bytes_be(drbg.generate(32))),
-                          curve_p()));
+    const Uint256 raw = Uint256::from_bytes_be(drbg.generate(32));
+    samples.push_back(mod(Uint512::from_uint256(raw), p));
   }
   for (const auto& a : samples) {
     for (const auto& b : samples) {
-      EXPECT_EQ(fe_mul(a, b), mul_mod(a, b, curve_p()))
-          << a.to_hex() << " * " << b.to_hex();
+      EXPECT_EQ(fe_mul(a, b), mul_mod(a, b, p)) << a.to_hex() << " * " << b.to_hex();
+      EXPECT_EQ(fe_add(a, b), add_mod(a, b, p)) << a.to_hex() << " + " << b.to_hex();
+      EXPECT_EQ(fe_sub(a, b), sub_mod(a, b, p)) << a.to_hex() << " - " << b.to_hex();
+    }
+    if (!a.is_zero()) {
+      EXPECT_EQ(fe_inv(a), inv_mod_prime(a, p)) << a.to_hex();
     }
   }
+  // fe_mul also takes unreduced input, such as 2^256 - 1.
+  const Uint256 all_ones = Uint256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  samples.push_back(all_ones);
+  for (const auto& b : samples) {
+    EXPECT_EQ(fe_mul(all_ones, b), mul_mod(all_ones, b, p)) << b.to_hex();
+  }
+  EXPECT_THROW(fe_inv(Uint256(0)), std::invalid_argument);
+}
+
+TEST(Secp256k1, ScalarArithmeticMatchesGenericModN) {
+  // Scalars fold on n = 2^256 - c, c < 2^129; the generic bigint functions
+  // are the reference, on unreduced inputs too.
+  const Uint256& n = curve_n();
+  Drbg drbg(to_bytes("scalar-reduce"));
+  Uint256 n_minus_1, n_plus_1;
+  sub_with_borrow(n, Uint256(1), n_minus_1);
+  add_with_carry(n, Uint256(1), n_plus_1);
+  const Uint256 all_ones = Uint256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL);
+  std::vector<Uint256> samples{Uint256(0), Uint256(1), Uint256(2), n_minus_1, n, n_plus_1,
+                               all_ones};
+  for (int i = 0; i < 24; ++i) samples.push_back(Uint256::from_bytes_be(drbg.generate(32)));
+  for (const auto& a : samples) {
+    for (const auto& b : samples) {
+      EXPECT_EQ(scalar_mul_mod_n(a, b), mul_mod(a, b, n)) << a.to_hex() << " * " << b.to_hex();
+    }
+    EXPECT_EQ(scalar_from_bytes(a.to_bytes_be()), mod(Uint512::from_uint256(a), n))
+        << a.to_hex();
+    if (a.is_zero() || a == n) {
+      EXPECT_THROW(scalar_inv(a), std::invalid_argument) << a.to_hex();
+    } else {
+      EXPECT_EQ(scalar_inv(a), inv_mod_prime(a, n)) << a.to_hex();
+    }
+  }
+  // scalar_add/scalar_sub on reduced scalars.
+  for (const auto& a0 : samples) {
+    const Uint256 a = scalar_from_bytes(a0.to_bytes_be());
+    for (const auto& b0 : samples) {
+      const Uint256 b = scalar_from_bytes(b0.to_bytes_be());
+      EXPECT_EQ(scalar_add(a, b), add_mod(a, b, n));
+      EXPECT_EQ(scalar_sub(a, b), sub_mod(a, b, n));
+    }
+  }
+}
+
+// k*P by affine double-and-add over the public group law: the reference for
+// the window and comb multiplies.
+Point reference_mul(const Uint256& k, const Point& p) {
+  Point acc;
+  for (int i = 255; i >= 0; --i) {
+    acc = point_double(acc);
+    if (k.bit(static_cast<unsigned>(i))) acc = point_add(acc, p);
+  }
+  return acc;
+}
+
+// The scalars the multiplies are held to: window and comb digit edges, the
+// group order's neighbours, 2^256 - 1, and 32 DRBG scalars.
+std::vector<Uint256> multiply_scalars() {
+  const Uint256& n = curve_n();
+  Uint256 n_minus_1, n_plus_1;
+  sub_with_borrow(n, Uint256(1), n_minus_1);
+  add_with_carry(n, Uint256(1), n_plus_1);
+  std::vector<Uint256> ks{Uint256(0),  Uint256(1),   Uint256(2),   Uint256(15),
+                          Uint256(16), Uint256(17),  Uint256(255), Uint256(256),
+                          n_minus_1,   n,            n_plus_1,
+                          Uint256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL)};
+  Drbg drbg(to_bytes("scalar-mul"));
+  for (int i = 0; i < 32; ++i) ks.push_back(Uint256::from_bytes_be(drbg.generate(32)));
+  return ks;
+}
+
+TEST(Secp256k1, ScalarMulMatchesDoubleAndAdd) {
+  const Point g = generator();
+  const Point p = reference_mul(Uint256::from_hex("5eed0f5ca1a7b0b1"), g);
+  for (const Uint256& k : multiply_scalars()) {
+    const Point kg = reference_mul(k, g);
+    EXPECT_EQ(scalar_mul_base(k), kg) << k.to_hex();
+    EXPECT_EQ(scalar_mul(k, g), kg) << k.to_hex();
+    EXPECT_EQ(scalar_mul(k, p), reference_mul(k, p)) << k.to_hex();
+  }
+  EXPECT_TRUE(scalar_mul(Uint256(5), Point{}).infinity);
+}
+
+TEST(Secp256k1, ScalarMulBaseAddMatchesSeparateMultiplies) {
+  const Point g = generator();
+  const Point p = scalar_mul_base(Uint256::from_hex("c0ffee"));
+  const std::vector<Uint256> ks = multiply_scalars();
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    const Uint256& a = ks[i];
+    const Uint256& b = ks[(i * 7 + 3) % ks.size()];
+    EXPECT_EQ(scalar_mul_base_add(a, b, p), point_add(scalar_mul_base(a), scalar_mul(b, p)))
+        << a.to_hex() << " " << b.to_hex();
+    EXPECT_EQ(scalar_mul_base_add(a, Uint256(0), p), scalar_mul_base(a)) << a.to_hex();
+    EXPECT_EQ(scalar_mul_base_add(a, b, Point{}), scalar_mul_base(a)) << a.to_hex();
+    EXPECT_EQ(scalar_mul_base_add(Uint256(0), b, p), scalar_mul(b, p)) << b.to_hex();
+  }
+  // a*G == b*P (the comb's addition meets an equal point) and a*G == -b*P.
+  EXPECT_EQ(scalar_mul_base_add(Uint256(1), Uint256(1), g), point_double(g));
+  EXPECT_EQ(scalar_mul_base_add(Uint256(0xc0ffee * 3), Uint256(3), p),
+            point_double(scalar_mul_base(Uint256(0xc0ffee * 3))));
+  const Uint256 b(0x1234);
+  const Uint256 a = scalar_sub(Uint256(0), scalar_mul_mod_n(b, Uint256(0xc0ffee)));
+  EXPECT_TRUE(scalar_mul_base_add(a, b, p).infinity);
 }
 
 TEST(Secp256k1, FieldInverse) {
@@ -546,6 +683,38 @@ TEST(Schnorr, KeypairFromPrivateRoundTrip) {
   EXPECT_EQ(restored.public_key, kp.public_key);
   const Bytes sig = sign(restored, to_bytes("m"));
   EXPECT_TRUE(verify(kp.public_key, to_bytes("m"), sig));
+}
+
+TEST(Schnorr, RejectsIdentityOrOffCurvePublicKey) {
+  // With P = O, s*G == R + e*O holds for R = s*G whatever the message.
+  // (1, 0) lies on y^2 = x^3 - 1, not on the curve; the group formulas give
+  // it order 2, so R = s*G passes for every challenge of the right parity.
+  const Uint256 s(0x5157);
+  Bytes sig = point_encode(scalar_mul_base(s));
+  append(sig, s.to_bytes_be());
+  const Point off_curve{Uint256(1), Uint256(0), false};
+  for (int i = 0; i < 8; ++i) {
+    const Bytes msg = to_bytes("message " + std::to_string(i));
+    EXPECT_FALSE(verify(Bytes{0x00}, msg, sig)) << i;
+    EXPECT_FALSE(verify(Point{}, msg, sig)) << i;
+    EXPECT_FALSE(verify(off_curve, msg, sig)) << i;
+  }
+}
+
+// Public keys and signatures of 32 DRBG-seeded (key, message) pairs, pinned
+// by digest. Every seeded figure downstream (metadata blobs, traces, digests)
+// depends on these bytes, so the group arithmetic's internals must not move them.
+TEST(Schnorr, KeysAndSignaturesArePinned) {
+  Drbg drbg(to_bytes("schnorr-pinned"));
+  Sha256 digest;
+  for (std::size_t i = 0; i < 32; ++i) {
+    const KeyPair kp = generate_keypair(drbg);
+    const Bytes msg = drbg.generate(1 + 7 * i);
+    digest.update(kp.public_bytes());
+    digest.update(sign(kp, msg));
+  }
+  EXPECT_EQ(hex_encode(digest.finish()),
+            "fe3f1de56f32120986e7ea8430a50529b9d9db29a6420facfa05ba96c5f2b5c1");
 }
 
 TEST(Schnorr, DeterministicSignatures) {
