@@ -10,7 +10,6 @@
 #include "crypto/hmac.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
-#include "crypto/sha512.h"
 #include "crypto/signature.h"
 #include "diff/binary_diff.h"
 #include "erasure/reed_solomon.h"
@@ -31,13 +30,6 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(4 << 10)->Arg(1 << 20);
-
-void BM_Sha512(benchmark::State& state) {
-  const Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(crypto::sha512(data));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
-}
-BENCHMARK(BM_Sha512)->Arg(1 << 20);
 
 void BM_HmacSha256(benchmark::State& state) {
   const Bytes key(32, 0x11);

@@ -139,18 +139,15 @@ GateResult redundancy_gate(std::uint64_t seed, int files) {
   out.migration_ms = static_cast<double>(rep->duration_us) / 1e3;
   out.shares_rebuilt = rep->shares_rebuilt;
 
-  // Enumerate every unit on the new set (the scrubber's orphan-walk idiom:
-  // collapse `<unit>.meta` / `<unit>.v<V>.s<I>` keys).
+  // Enumerate every unit on the new set (the scrubber's orphan-walk idiom).
   auto admin = dep.admin_tokens();
   std::set<std::string> units;
   for (std::size_t i = 0; i < dep.clouds().size(); ++i) {
     auto listed = dep.clouds()[i]->list(admin[i], "");
     if (!listed.value.ok()) continue;
     for (const auto& stat : *listed.value) {
-      if (stat.key.ends_with(".meta")) {
-        units.insert(stat.key.substr(0, stat.key.size() - 5));
-      } else if (const auto pos = stat.key.rfind(".v"); pos != std::string::npos) {
-        units.insert(stat.key.substr(0, pos));
+      if (auto unit = depsky::DepSkyClient::unit_of_key(stat.key)) {
+        units.insert(std::move(*unit));
       }
     }
   }

@@ -104,17 +104,6 @@ Uint256 shift_left1(const Uint256& a) noexcept {
   return r;
 }
 
-Uint256 shift_right1(const Uint256& a) noexcept {
-  Uint256 r;
-  u64 carry = 0;
-  for (int i = 3; i >= 0; --i) {
-    const auto idx = static_cast<std::size_t>(i);
-    r.limb[idx] = (a.limb[idx] >> 1) | (carry << 63);
-    carry = a.limb[idx] & 1;
-  }
-  return r;
-}
-
 Uint512 mul_wide(const Uint256& a, const Uint256& b) noexcept {
   Uint512 r;
   for (int i = 0; i < 4; ++i) {
@@ -142,14 +131,6 @@ unsigned Uint512::bit_length() const noexcept {
     }
   }
   return 0;
-}
-
-Uint256 Uint512::low() const noexcept {
-  return Uint256::from_limbs(limb[0], limb[1], limb[2], limb[3]);
-}
-
-Uint256 Uint512::high() const noexcept {
-  return Uint256::from_limbs(limb[4], limb[5], limb[6], limb[7]);
 }
 
 Uint512 Uint512::from_uint256(const Uint256& v) noexcept {
@@ -224,84 +205,6 @@ Uint256 inv_mod_prime(const Uint256& a, const Uint256& m) {
   Uint256 e;
   sub_with_borrow(m, Uint256(2), e);
   return pow_mod(a, e, m);
-}
-
-Uint256 isqrt(const Uint512& a) {
-  // Binary search the largest x with x^2 <= a. The callers guarantee x < 2^256.
-  Uint256 lo;                     // 0
-  Uint256 hi;                     // 2^(ceil(bits/2)) upper bound
-  const unsigned half = (a.bit_length() + 1) / 2;
-  if (half >= 256) throw std::invalid_argument("isqrt: result would overflow");
-  hi.limb[half / 64] = 1ULL << (half % 64);
-  // Invariant: lo^2 <= a < hi^2.
-  for (;;) {
-    Uint256 gap;
-    sub_with_borrow(hi, lo, gap);
-    if (gap == Uint256(1) || gap.is_zero()) return lo;
-    Uint256 mid_sum;
-    add_with_carry(lo, hi, mid_sum);
-    Uint256 mid = shift_right1(mid_sum);
-    const Uint512 sq = mul_wide(mid, mid);
-    // Compare sq with a.
-    bool le = true;
-    for (int i = 7; i >= 0; --i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (sq.limb[idx] != a.limb[idx]) {
-        le = sq.limb[idx] < a.limb[idx];
-        break;
-      }
-    }
-    if (le) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-}
-
-Uint256 icbrt(const Uint512& a) {
-  Uint256 lo;
-  Uint256 hi;
-  const unsigned third = a.bit_length() / 3 + 2;
-  if (third >= 128) throw std::invalid_argument("icbrt: result too large");
-  hi.limb[third / 64] = 1ULL << (third % 64);
-  for (;;) {
-    Uint256 gap;
-    sub_with_borrow(hi, lo, gap);
-    if (gap == Uint256(1) || gap.is_zero()) return lo;
-    Uint256 mid_sum;
-    add_with_carry(lo, hi, mid_sum);
-    Uint256 mid = shift_right1(mid_sum);
-    // mid^3: mid < 2^128 so mid^2 < 2^256 and mid^3 < 2^384 fits Uint512.
-    const Uint512 sq = mul_wide(mid, mid);
-    const Uint512 cube = mul_wide(sq.low(), mid);  // sq.high() == 0 by the bound above
-    Uint512 cube_full = cube;
-    if (!sq.high().is_zero()) {
-      // General case: add high*mid shifted by 256 bits.
-      const Uint512 hi_part = mul_wide(sq.high(), mid);
-      u64 carry = 0;
-      for (int i = 0; i < 4; ++i) {
-        const auto idx = static_cast<std::size_t>(i + 4);
-        const u128 s = static_cast<u128>(cube_full.limb[idx]) +
-                       hi_part.limb[static_cast<std::size_t>(i)] + carry;
-        cube_full.limb[idx] = static_cast<u64>(s);
-        carry = static_cast<u64>(s >> 64);
-      }
-    }
-    bool le = true;
-    for (int i = 7; i >= 0; --i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (cube_full.limb[idx] != a.limb[idx]) {
-        le = cube_full.limb[idx] < a.limb[idx];
-        break;
-      }
-    }
-    if (le) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
 }
 
 }  // namespace rockfs::crypto

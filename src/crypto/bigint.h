@@ -1,6 +1,5 @@
 // Fixed-width 256/512-bit unsigned integers with modular arithmetic.
-// Backbone of the secp256k1 group (crypto/secp256k1.*) and of the
-// SHA-512 constant derivation (crypto/sha512.cpp).
+// Backbone of the secp256k1 group (crypto/secp256k1.*).
 #pragma once
 
 #include <array>
@@ -49,7 +48,6 @@ std::uint64_t add_with_carry(const Uint256& a, const Uint256& b, Uint256& r) noe
 /// r = a - b, returns borrow-out (1 if a < b).
 std::uint64_t sub_with_borrow(const Uint256& a, const Uint256& b, Uint256& r) noexcept;
 Uint256 shift_left1(const Uint256& a) noexcept;
-Uint256 shift_right1(const Uint256& a) noexcept;
 
 /// Full 512-bit product.
 Uint512 mul_wide(const Uint256& a, const Uint256& b) noexcept;
@@ -59,8 +57,6 @@ struct Uint512 {
   std::array<std::uint64_t, 8> limb{};
   bool bit(unsigned i) const noexcept;
   unsigned bit_length() const noexcept;
-  Uint256 low() const noexcept;
-  Uint256 high() const noexcept;
   static Uint512 from_uint256(const Uint256& v) noexcept;
 };
 
@@ -78,12 +74,5 @@ Uint256 mul_mod(const Uint256& a, const Uint256& b, const Uint256& m);
 Uint256 pow_mod(const Uint256& base, const Uint256& exp, const Uint256& m);
 /// Modular inverse for prime m (Fermat's little theorem). a must be nonzero mod m.
 Uint256 inv_mod_prime(const Uint256& a, const Uint256& m);
-
-// ---- Integer root helpers (used to derive SHA-512 round constants) ----
-
-/// floor(sqrt(a)) for a < 2^512 with result < 2^256.
-Uint256 isqrt(const Uint512& a);
-/// floor(cbrt(a)) for values whose cube root fits in 128 bits.
-Uint256 icbrt(const Uint512& a);
 
 }  // namespace rockfs::crypto

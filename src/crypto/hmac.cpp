@@ -3,40 +3,30 @@
 #include <stdexcept>
 
 #include "crypto/sha256.h"
-#include "crypto/sha512.h"
 
 namespace rockfs::crypto {
 
-namespace {
-
-template <typename Hash>
-Bytes hmac_impl(BytesView key, BytesView data) {
+Bytes hmac_sha256(BytesView key, BytesView data) {
   Bytes k(key.begin(), key.end());
-  if (k.size() > Hash::kBlockSize) k = Hash::hash(k);
-  k.resize(Hash::kBlockSize, 0);
+  if (k.size() > Sha256::kBlockSize) k = Sha256::hash(k);
+  k.resize(Sha256::kBlockSize, 0);
 
-  Bytes ipad(Hash::kBlockSize), opad(Hash::kBlockSize);
-  for (std::size_t i = 0; i < Hash::kBlockSize; ++i) {
+  Bytes ipad(Sha256::kBlockSize), opad(Sha256::kBlockSize);
+  for (std::size_t i = 0; i < Sha256::kBlockSize; ++i) {
     ipad[i] = static_cast<Byte>(k[i] ^ 0x36);
     opad[i] = static_cast<Byte>(k[i] ^ 0x5c);
   }
 
-  Hash inner;
+  Sha256 inner;
   inner.update(ipad);
   inner.update(data);
   const Bytes inner_digest = inner.finish();
 
-  Hash outer;
+  Sha256 outer;
   outer.update(opad);
   outer.update(inner_digest);
   return outer.finish();
 }
-
-}  // namespace
-
-Bytes hmac_sha256(BytesView key, BytesView data) { return hmac_impl<Sha256>(key, data); }
-
-Bytes hmac_sha512(BytesView key, BytesView data) { return hmac_impl<Sha512>(key, data); }
 
 Bytes hkdf_sha256(BytesView ikm, BytesView salt, BytesView info, std::size_t out_len) {
   if (out_len > 255 * Sha256::kDigestSize) throw std::invalid_argument("hkdf: out_len too large");

@@ -327,6 +327,19 @@ std::string DepSkyClient::share_key(const std::string& unit, std::uint64_t versi
   return unit + ".v" + std::to_string(version) + ".s" + std::to_string(cloud_index);
 }
 
+std::optional<std::string> DepSkyClient::unit_of_key(const std::string& key) {
+  if (key.ends_with(".meta")) return key.substr(0, key.size() - 5);
+  // [from, to) is a non-empty run of decimal digits.
+  const auto digits = [&](std::size_t from, std::size_t to) {
+    return from < to && key.find_first_not_of("0123456789", from) >= to;
+  };
+  const auto share = key.rfind(".s");
+  if (share == std::string::npos || !digits(share + 2, key.size())) return std::nullopt;
+  const auto version = key.rfind(".v", share);
+  if (version == std::string::npos || !digits(version + 2, share)) return std::nullopt;
+  return key.substr(0, version);
+}
+
 DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     const std::vector<cloud::AccessToken>& tokens, const std::string& unit) {
   // Query every contactable cloud in parallel; a quorum of n-f responses

@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,17 @@ class DepSkyClient {
   /// per-cloud put counters without circularity.
   std::size_t encoded_blob_size(std::size_t data_size) const;
 
+  // ---- object key layout ----
+
+  /// `<unit>.meta`: the unit's metadata replica at each cloud.
+  static std::string metadata_key(const std::string& unit);
+  /// `<unit>.v<version>.s<cloud_index>`: one cloud's share of one version.
+  static std::string share_key(const std::string& unit, std::uint64_t version,
+                               std::size_t cloud_index);
+  /// The unit a stored key belongs to: the key minus a `.meta` suffix or a
+  /// `.v<digits>.s<digits>` suffix. Any other key has no unit.
+  static std::optional<std::string> unit_of_key(const std::string& key);
+
  private:
   struct MetadataFetch {
     Result<UnitMetadata> metadata;
@@ -213,10 +225,6 @@ class DepSkyClient {
   /// Shared body of read / read_archived.
   sim::Timed<Result<Bytes>> read_impl(const std::vector<cloud::AccessToken>& tokens,
                                       const std::string& unit, bool cold);
-
-  static std::string metadata_key(const std::string& unit);
-  static std::string share_key(const std::string& unit, std::uint64_t version,
-                               std::size_t cloud_index);
 
   /// Cloud indices to contact for one quorum phase: every cloud whose
   /// breaker admits requests, padded with open-breaker clouds (forced

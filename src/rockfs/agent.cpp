@@ -1,5 +1,6 @@
 #include "rockfs/agent.h"
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -365,9 +366,9 @@ Result<Bytes> RockFsAgent::read_file(const std::string& path) {
   if (!fs_) return Error{not_logged_in().error()};
   auto fd = fs_->open(path);
   if (!fd.ok()) return Error{fd.error()};
-  auto st = fs_->stat(path);
-  const std::size_t size = st.ok() ? st->size : 0;
-  auto content = fs_->read(*fd, 0, size);
+  // The whole opened version: a second coordination round to learn its size
+  // could fail or see a peer's newer, shorter version.
+  auto content = fs_->read(*fd, 0, SIZE_MAX);
   const Status closed = fs_->close(*fd);
   if (!content.ok()) return content;
   if (!closed.ok()) return Error{closed.error()};

@@ -567,7 +567,7 @@ Status Deployment::adopt_spare_tokens(std::size_t slot,
 
 std::vector<std::string> Deployment::enumerate_units(std::size_t skip_index) {
   // The scrubber's orphan-walk idiom over the whole key space: every
-  // logs/<chain>/e<seq> or files<path> key collapses to its unit name.
+  // DepSky key collapses to its unit name.
   std::set<std::string> units;
   const auto admin = admin_tokens();
   for (std::size_t i = 0; i < clouds_.size(); ++i) {
@@ -576,16 +576,9 @@ std::vector<std::string> Deployment::enumerate_units(std::size_t skip_index) {
     clock_->advance_us(listed.delay);
     if (!listed.value.ok()) continue;  // an unreachable cloud cannot widen the union
     for (const auto& obj : *listed.value) {
-      std::string unit = obj.key;
-      if (const auto meta = unit.rfind(".meta");
-          meta != std::string::npos && meta + 5 == unit.size()) {
-        unit.resize(meta);
-      } else if (const auto ver = unit.rfind(".v"); ver != std::string::npos) {
-        unit.resize(ver);
-      } else {
-        continue;  // not a unit-structured key
+      if (auto unit = depsky::DepSkyClient::unit_of_key(obj.key)) {
+        units.insert(std::move(*unit));
       }
-      units.insert(std::move(unit));
     }
   }
   return {units.begin(), units.end()};

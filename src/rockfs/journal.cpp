@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/hex.h"
 #include "common/logging.h"
-#include "crypto/sha256.h"
 #include "obs/metrics.h"
 #include "sim/timed.h"
 
@@ -24,36 +22,20 @@ coord::Template all_intents_pattern(const std::string& user) {
       {kJournalTag, user, "*", "*", "*", "*", "*", "*", "*", "*", "*", "*"});
 }
 
-coord::Tuple aggregate_tuple(const std::string& user, const fssagg::FssAggSigner& signer) {
-  return {LogService::aggregate_tag(), user, hex_encode(signer.aggregate_a()),
-          hex_encode(signer.aggregate_b()), std::to_string(signer.count())};
-}
-
 bool tags_equal(const fssagg::FssAggTag& a, const fssagg::FssAggTag& b) {
   return ct_equal(a.mac_a, b.mac_a) && ct_equal(a.mac_b, b.mac_b);
 }
 
 }  // namespace
 
-const char* IntentJournal::tag() { return kJournalTag; }
-
 IntentJournal::IntentJournal(std::string user_id,
                              std::shared_ptr<coord::CoordinationService> coordination)
     : user_id_(std::move(user_id)), coordination_(std::move(coordination)) {}
 
 coord::Tuple IntentJournal::to_tuple(const LogRecord& intent) {
-  return {kJournalTag,
-          intent.user,
-          padded_seq(intent.seq),
-          intent.path,
-          std::to_string(intent.version),
-          intent.op,
-          intent.whole_file ? "1" : "0",
-          std::to_string(intent.payload_size),
-          hex_encode(intent.payload_hash),
-          std::to_string(intent.timestamp_us),
-          std::to_string(intent.epoch),
-          std::to_string(intent.fence_epoch)};
+  coord::Tuple t = intent.tuple_head(kJournalTag);
+  t.push_back(std::to_string(intent.fence_epoch));
+  return t;
 }
 
 Result<LogRecord> IntentJournal::from_tuple(const coord::Tuple& t) {
@@ -61,17 +43,7 @@ Result<LogRecord> IntentJournal::from_tuple(const coord::Tuple& t) {
     return Error{ErrorCode::kCorrupted, "journal intent: malformed tuple"};
   }
   try {
-    LogRecord r;
-    r.user = t[1];
-    r.seq = std::stoull(t[2]);
-    r.path = t[3];
-    r.version = std::stoull(t[4]);
-    r.op = t[5];
-    r.whole_file = t[6] == "1";
-    r.payload_size = std::stoull(t[7]);
-    r.payload_hash = hex_decode(t[8]);
-    r.timestamp_us = std::stoll(t[9]);
-    r.epoch = std::stoull(t[10]);
+    LogRecord r = LogRecord::parse_tuple_head(t);
     r.fence_epoch = std::stoull(t[11]);
     return r;
   } catch (const std::exception& e) {
@@ -147,9 +119,7 @@ sim::Timed<Result<JournalReplayReport>> replay_intent_journal(
     ++report.adopted;
   }
   if (aggregates_stale) {
-    auto agg = coordination->replace(
-        coord::Template::of({LogService::aggregate_tag(), user_id, "*", "*", "*"}),
-        aggregate_tuple(user_id, signer));
+    auto agg = store_aggregates(*coordination, user_id, signer);
     delay += agg.delay;
     if (!agg.value.ok()) return {Error{agg.value.error()}, delay};
   }
@@ -194,37 +164,33 @@ sim::Timed<Result<JournalReplayReport>> replay_intent_journal(
     // the crash interleaved with an eviction, and the new holder's writes
     // may already be committed. Nothing of this intent may enter the chain,
     // durable payload or not: discard it without probing for adoption.
-    if (intent.fence_epoch != scfs::kNoFenceEpoch) {
-      auto fence = scfs::read_fence_epoch(*coordination, intent.path);
-      delay += fence.delay;
-      if (!fence.value.ok()) {
-        // Fail closed: without the lease epoch we cannot tell a live intent
-        // from a fenced one — keep it pending for the next replay rather
-        // than re-adopt a possibly fenced payload.
-        ++report.deferred;
-        report.next_seq = std::max(report.next_seq, intent.seq + 1);
-        report.divergent_paths.insert(intent.path);
-        continue;
-      }
-      if (*fence.value > intent.fence_epoch) {
-        const bool pristine = probe_pristine(intent);
-        auto cleared = journal.clear(intent.seq);
-        delay += cleared.delay;
-        ++report.discarded;
-        reg.counter("journal.replay.fenced").add();
-        report.divergent_paths.insert(intent.path);
-        if (!pristine) report.next_seq = std::max(report.next_seq, intent.seq + 1);
-        continue;
-      }
+    auto fence = scfs::check_fence(*coordination, intent.path, intent.fence_epoch);
+    delay += fence.delay;
+    if (fence.value.code() == ErrorCode::kFenced) {
+      const bool pristine = probe_pristine(intent);
+      auto cleared = journal.clear(intent.seq);
+      delay += cleared.delay;
+      ++report.discarded;
+      reg.counter("journal.replay.fenced").add();
+      report.divergent_paths.insert(intent.path);
+      if (!pristine) report.next_seq = std::max(report.next_seq, intent.seq + 1);
+      continue;
+    }
+    if (!fence.value.ok()) {
+      // Fail closed: without the lease epoch we cannot tell a live intent
+      // from a fenced one — keep it pending for the next replay rather than
+      // re-adopt a possibly fenced payload.
+      ++report.deferred;
+      report.next_seq = std::max(report.next_seq, intent.seq + 1);
+      report.divergent_paths.insert(intent.path);
+      continue;
     }
 
     // No record: is the payload durable? (One read answers it — the digest
     // in the intent is the arbiter.)
     auto payload = storage->read(log_tokens, intent.data_unit());
     delay += payload.delay;
-    const bool durable = payload.value.ok() &&
-                         payload.value->size() == intent.payload_size &&
-                         ct_equal(crypto::sha256(*payload.value), intent.payload_hash);
+    const bool durable = payload.value.ok() && intent.matches(*payload.value);
     if (durable) {
       LogRecord record = intent;
       fssagg::FssAggSigner next = signer;

@@ -44,9 +44,6 @@ class IntentJournal {
   IntentJournal(std::string user_id,
                 std::shared_ptr<coord::CoordinationService> coordination);
 
-  /// Tuple tag used for intents ("rockjournal").
-  static const char* tag();
-
   /// Persists (replaces) the intent for `intent.seq`.
   sim::Timed<Status> record(const LogRecord& intent);
   /// Removes the intent for `seq` (after the append committed).

@@ -16,6 +16,10 @@ namespace rockfs::core {
 namespace {
 constexpr const char* kRecordTag = "rocklog";
 constexpr const char* kAggregateTag = "rockagg";
+
+coord::Template aggregate_pattern(const std::string& user) {
+  return coord::Template::of({kAggregateTag, user, "*", "*", "*"});
+}
 }  // namespace
 
 std::string padded_seq(std::uint64_t seq) {
@@ -25,7 +29,6 @@ std::string padded_seq(std::uint64_t seq) {
 }
 
 namespace {
-std::string pad_seq(std::uint64_t seq) { return padded_seq(seq); }
 
 // Client-side delta computation throughput. The paper's client is a 1-vCPU
 // VM and §6.1 attributes the logging overhead primarily to "the time for the
@@ -38,9 +41,6 @@ sim::SimClock::Micros diff_compute_us(std::size_t old_size, std::size_t new_size
                      1e6 * static_cast<double>(old_size + new_size) / kDiffBytesPerSec);
 }
 }  // namespace
-
-const char* LogService::record_tag() { return kRecordTag; }
-const char* LogService::aggregate_tag() { return kAggregateTag; }
 
 Bytes LogRecord::mac_payload() const {
   Bytes out;
@@ -57,10 +57,10 @@ Bytes LogRecord::mac_payload() const {
   return out;
 }
 
-coord::Tuple LogRecord::to_tuple() const {
-  return {kRecordTag,
+coord::Tuple LogRecord::tuple_head(const char* tag) const {
+  return {tag,
           user,
-          pad_seq(seq),
+          padded_seq(seq),
           path,
           std::to_string(version),
           op,
@@ -68,9 +68,29 @@ coord::Tuple LogRecord::to_tuple() const {
           std::to_string(payload_size),
           hex_encode(payload_hash),
           std::to_string(timestamp_us),
-          std::to_string(epoch),
-          hex_encode(tag.mac_a),
-          hex_encode(tag.mac_b)};
+          std::to_string(epoch)};
+}
+
+LogRecord LogRecord::parse_tuple_head(const coord::Tuple& t) {
+  LogRecord r;
+  r.user = t[1];
+  r.seq = std::stoull(t[2]);
+  r.path = t[3];
+  r.version = std::stoull(t[4]);
+  r.op = t[5];
+  r.whole_file = t[6] == "1";
+  r.payload_size = std::stoull(t[7]);
+  r.payload_hash = hex_decode(t[8]);
+  r.timestamp_us = std::stoll(t[9]);
+  r.epoch = std::stoull(t[10]);
+  return r;
+}
+
+coord::Tuple LogRecord::to_tuple() const {
+  coord::Tuple t = tuple_head(kRecordTag);
+  t.push_back(hex_encode(tag.mac_a));
+  t.push_back(hex_encode(tag.mac_b));
+  return t;
 }
 
 Result<LogRecord> LogRecord::from_tuple(const coord::Tuple& t) {
@@ -78,17 +98,7 @@ Result<LogRecord> LogRecord::from_tuple(const coord::Tuple& t) {
     return Error{ErrorCode::kCorrupted, "log record: malformed tuple"};
   }
   try {
-    LogRecord r;
-    r.user = t[1];
-    r.seq = std::stoull(t[2]);
-    r.path = t[3];
-    r.version = std::stoull(t[4]);
-    r.op = t[5];
-    r.whole_file = t[6] == "1";
-    r.payload_size = std::stoull(t[7]);
-    r.payload_hash = hex_decode(t[8]);
-    r.timestamp_us = std::stoll(t[9]);
-    r.epoch = std::stoull(t[10]);
+    LogRecord r = parse_tuple_head(t);
     r.tag.mac_a = hex_decode(t[11]);
     r.tag.mac_b = hex_decode(t[12]);
     return r;
@@ -97,35 +107,25 @@ Result<LogRecord> LogRecord::from_tuple(const coord::Tuple& t) {
   }
 }
 
+bool LogRecord::matches(BytesView payload) const {
+  return payload.size() == payload_size && ct_equal(crypto::sha256(payload), payload_hash);
+}
+
 std::string LogRecord::data_unit() const {
-  return "logs/" + user + "/e" + pad_seq(seq);
+  return "logs/" + user + "/e" + padded_seq(seq);
 }
 
 LogService::LogService(std::string user_id,
                        std::shared_ptr<depsky::DepSkyClient> storage,
                        std::vector<cloud::AccessToken> log_tokens,
                        std::shared_ptr<coord::CoordinationService> coordination,
-                       sim::SimClockPtr clock, fssagg::FssAggKeys initial_keys)
+                       sim::SimClockPtr clock, fssagg::FssAggSigner signer)
     : user_id_(std::move(user_id)),
       storage_(std::move(storage)),
       log_tokens_(std::move(log_tokens)),
       coordination_(std::move(coordination)),
       clock_(std::move(clock)),
-      signer_(std::move(initial_keys)) {
-  next_seq_ = signer_.count();
-}
-
-LogService::LogService(std::string user_id,
-                       std::shared_ptr<depsky::DepSkyClient> storage,
-                       std::vector<cloud::AccessToken> log_tokens,
-                       std::shared_ptr<coord::CoordinationService> coordination,
-                       sim::SimClockPtr clock, fssagg::FssAggSigner resumed_signer)
-    : user_id_(std::move(user_id)),
-      storage_(std::move(storage)),
-      log_tokens_(std::move(log_tokens)),
-      coordination_(std::move(coordination)),
-      clock_(std::move(clock)),
-      signer_(std::move(resumed_signer)) {
+      signer_(std::move(signer)) {
   next_seq_ = signer_.count();
 }
 
@@ -135,12 +135,10 @@ void LogService::attach_journal() {
   journal_ = std::make_unique<IntentJournal>(user_id_, coordination_);
 }
 
-LogService::Prepared LogService::prepare(const std::string& path,
-                                         const Bytes& old_content,
-                                         const Bytes& new_content, std::uint64_t version,
-                                         const std::string& op,
-                                         std::uint64_t fence_epoch,
-                                         sim::SimClock::Micros* delay) {
+Status LogService::stage(const std::string& path, const Bytes& old_content,
+                         const Bytes& new_content, std::uint64_t version,
+                         const std::string& op, std::uint64_t fence_epoch,
+                         obs::Span& span, sim::SimClock::Micros* delay, Prepared& out) {
   *delay += diff_compute_us(old_content.size(), new_content.size());
 
   // 1. ld_fu: delta between versions, or the whole file when smaller (§3.2),
@@ -152,21 +150,29 @@ LogService::Prepared LogService::prepare(const std::string& path,
   const diff::LogDelta ld =
       diff::make_log_delta(force_whole ? empty : old_content, new_content);
 
-  Prepared p;
-  p.payload = wrap_log_payload(ld.serialize(), compress_);
-  p.record.seq = next_seq_;
-  p.record.user = user_id_;
-  p.record.path = path;
-  p.record.version = version;
-  p.record.op = op;
-  p.record.whole_file = ld.whole_file;
-  p.record.payload_size = p.payload.size();
-  p.record.payload_hash = crypto::sha256(p.payload);
-  p.record.timestamp_us = clock_->now_us();
-  p.record.fence_epoch = fence_epoch;
-  p.record.epoch = fence_epoch == scfs::kNoFenceEpoch ? 0 : fence_epoch;
-  p.valid = true;
-  return p;
+  out = Prepared{};
+  out.payload = wrap_log_payload(ld.serialize(), compress_);
+  out.record.seq = next_seq_;
+  out.record.user = user_id_;
+  out.record.path = path;
+  out.record.version = version;
+  out.record.op = op;
+  out.record.whole_file = ld.whole_file;
+  out.record.payload_size = out.payload.size();
+  out.record.payload_hash = crypto::sha256(out.payload);
+  out.record.timestamp_us = clock_->now_us();
+  out.record.fence_epoch = fence_epoch;
+  out.record.epoch = fence_epoch == scfs::kNoFenceEpoch ? 0 : fence_epoch;
+  out.valid = true;
+
+  if (!journal_) return Status::Ok();
+  auto recorded = journal_->record(out.record);
+  *delay += recorded.delay;
+  span.charge_child(static_cast<std::uint64_t>(recorded.delay));
+  if (!recorded.value.ok()) return std::move(recorded.value);
+  span.set_duration(static_cast<std::uint64_t>(*delay));
+  maybe_crash(sim::CrashPoint::kAfterLogIntent);
+  return Status::Ok();
 }
 
 sim::Timed<Status> LogService::journal_intent(const std::string& path,
@@ -181,18 +187,14 @@ sim::Timed<Status> LogService::journal_intent(const std::string& path,
   // nested coord.op covers the journal record round.
   obs::Span span = obs::tracer().span("log.intent");
   sim::SimClock::Micros delay = 0;
-  prepared_ = prepare(path, old_content, new_content, version, op, fence_epoch, &delay);
-  auto recorded = journal_->record(prepared_.record);
-  delay += recorded.delay;
-  span.charge_child(static_cast<std::uint64_t>(recorded.delay));
-  span.set_duration(static_cast<std::uint64_t>(delay));
-  if (!recorded.value.ok()) {
+  Status staged =
+      stage(path, old_content, new_content, version, op, fence_epoch, span, &delay, prepared_);
+  if (!staged.ok()) {
     prepared_ = Prepared{};
-    span.set_outcome(recorded.value.code());
-    return {std::move(recorded.value), delay};
+    span.set_duration(static_cast<std::uint64_t>(delay));
+    span.set_outcome(staged.code());
   }
-  maybe_crash(sim::CrashPoint::kAfterLogIntent);
-  return {Status::Ok(), delay};
+  return {std::move(staged), delay};
 }
 
 sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_content,
@@ -202,62 +204,59 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   obs::Span span = obs::tracer().span("log.append");
   sim::SimClock::Micros delay = 0;
   auto& reg = obs::metrics();
+  const auto fail = [&](Status st) -> sim::Timed<Status> {
+    span.set_duration(static_cast<std::uint64_t>(delay));
+    span.set_outcome(st.code());
+    reg.counter("log.append.errors").add();
+    return {std::move(st), delay};
+  };
 
   // 0. Reuse the intent journaled by the close path when it matches this
-  // append; otherwise prepare (and, with a journal attached, persist the
-  // intent) inline — the unlink path and raw LogService users land here.
+  // append; otherwise stage it inline — the unlink path, the recovery
+  // admin's chain and the rotation record land here.
   Prepared prepared;
   if (prepared_.valid && prepared_.record.path == path &&
       prepared_.record.version == version && prepared_.record.op == op &&
       prepared_.record.fence_epoch == fence_epoch) {
     prepared = std::move(prepared_);
     prepared_ = Prepared{};
-  } else {
-    prepared = prepare(path, old_content, new_content, version, op, fence_epoch, &delay);
-    if (journal_) {
-      auto recorded = journal_->record(prepared.record);
-      delay += recorded.delay;
-      span.charge_child(static_cast<std::uint64_t>(recorded.delay));
-      if (!recorded.value.ok()) {
-        span.set_duration(static_cast<std::uint64_t>(delay));
-        span.set_outcome(recorded.value.code());
-        reg.counter("log.append.errors").add();
-        return {std::move(recorded.value), delay};
-      }
-      maybe_crash(sim::CrashPoint::kAfterLogIntent);
-    }
+  } else if (Status staged = stage(path, old_content, new_content, version, op, fence_epoch,
+                                   span, &delay, prepared);
+             !staged.ok()) {
+    return fail(std::move(staged));
   }
   LogRecord& record = prepared.record;
   const Bytes& payload = prepared.payload;
 
-  // Fence pre-flight (scfs/lease.h): an append whose fence epoch is below
-  // the path's current lease epoch comes from an evicted session. Refuse it
-  // before any cloud object exists — the slot stays pristine and reusable.
-  if (record.fence_epoch != scfs::kNoFenceEpoch) {
-    auto fence = scfs::read_fence_epoch(*coordination_, path);
-    delay += fence.delay;
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
-    if (!fence.value.ok()) {
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(fence.value.code());
-      reg.counter("log.append.errors").add();
-      return {Status{fence.value.error()}, delay};
+  // A fenced append comes from an evicted session: the intent goes, and the
+  // path may now be ahead of the log in the cloud, so its next append logs a
+  // whole-file entry.
+  const auto fenced = [&](Status st) -> sim::Timed<Status> {
+    mark_divergent(path);
+    if (journal_) {
+      auto cleared = journal_->clear(record.seq);
+      delay += cleared.delay;
     }
-    if (*fence.value > record.fence_epoch) {
-      if (journal_) {
-        auto cleared = journal_->clear(record.seq);
-        delay += cleared.delay;
-      }
-      mark_divergent(path);
-      reg.counter("log.append.fenced").add();
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(ErrorCode::kFenced);
-      return {Status{ErrorCode::kFenced, "log append fenced: " + path + " epoch " +
-                                             std::to_string(record.fence_epoch) + " < " +
-                                             std::to_string(*fence.value)},
-              delay};
-    }
-  }
+    reg.counter("log.append.fenced").add();
+    span.set_duration(static_cast<std::uint64_t>(delay));
+    span.set_outcome(ErrorCode::kFenced);
+    return {std::move(st), delay};
+  };
+  // One read settles whether the slot already holds this entry's payload.
+  const auto slot_holds_payload = [&] {
+    auto existing = storage_->read(log_tokens_, record.data_unit());
+    delay += existing.delay;
+    span.charge_child(static_cast<std::uint64_t>(existing.delay));
+    return existing.value.ok() && record.matches(*existing.value);
+  };
+
+  // Fence pre-flight (scfs/lease.h): refuse a fenced append before any cloud
+  // object exists — the slot stays pristine and reusable.
+  auto preflight = scfs::check_fence(*coordination_, path, record.fence_epoch);
+  delay += preflight.delay;
+  span.charge_child(static_cast<std::uint64_t>(preflight.delay));
+  if (preflight.value.code() == ErrorCode::kFenced) return fenced(std::move(preflight.value));
+  if (!preflight.value.ok()) return fail(std::move(preflight.value));
 
   reg.counter("log.append.count").add();
   reg.counter("log.append.bytes").add(payload.size());
@@ -267,74 +266,39 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   // per cloud — all supplied by DepSky CA — uploaded under t_l. A retry
   // after kPartialCommit knows the slot already holds the durable payload
   // and adopts it instead of re-writing into the append-only namespace.
-  bool need_upload = true;
-  if (record.seq == pending_retry_seq_) {
-    auto existing = storage_->read(log_tokens_, record.data_unit());
-    delay += existing.delay;
-    span.charge_child(static_cast<std::uint64_t>(existing.delay));
-    if (existing.value.ok() && existing.value->size() == record.payload_size &&
-        ct_equal(crypto::sha256(*existing.value), record.payload_hash)) {
-      need_upload = false;
-      reg.counter("log.append.adopted").add();
-    }
-  }
-  if (need_upload) {
+  bool adopted = record.seq == pending_retry_seq_ && slot_holds_payload();
+  if (!adopted) {
     auto upload = storage_->write(log_tokens_, record.data_unit(), payload);
     delay += upload.delay;
     span.charge_child(static_cast<std::uint64_t>(upload.delay));
     if (!upload.value.ok()) {
       // The write may have failed only at the metadata step while the entry
-      // is in fact durable (e.g. a concurrent earlier attempt finished it):
-      // one read settles whether the slot can be adopted.
-      auto existing = storage_->read(log_tokens_, record.data_unit());
-      delay += existing.delay;
-      span.charge_child(static_cast<std::uint64_t>(existing.delay));
-      const bool adopted = existing.value.ok() &&
-                           existing.value->size() == record.payload_size &&
-                           ct_equal(crypto::sha256(*existing.value), record.payload_hash);
-      if (!adopted) {
-        span.set_duration(static_cast<std::uint64_t>(delay));
-        span.set_outcome(upload.value.code());
-        reg.counter("log.append.errors").add();
-        return {std::move(upload.value), delay};
-      }
-      reg.counter("log.append.adopted").add();
+      // is in fact durable (e.g. a concurrent earlier attempt finished it).
+      if (!slot_holds_payload()) return fail(std::move(upload.value));
+      adopted = true;
     }
   }
+  if (adopted) reg.counter("log.append.adopted").add();
   maybe_crash(sim::CrashPoint::kAfterLogPayloadPut);
 
   // Fence re-check: an eviction that lands while the payload uploads must
   // still keep the entry out of the chain. The payload is durable now, so
   // the slot cannot be reused (append-only namespace) — skip it; the audit
-  // tolerates the gap and the next write of the path goes whole-file.
-  if (record.fence_epoch != scfs::kNoFenceEpoch) {
-    auto fence = scfs::read_fence_epoch(*coordination_, path);
-    delay += fence.delay;
-    span.charge_child(static_cast<std::uint64_t>(fence.delay));
-    if (!fence.value.ok()) {
-      // Fail closed: the epoch cannot be proved fresh, so the entry must not
-      // enter the chain. The payload is durable — remember the slot so the
-      // caller's retry adopts it instead of re-uploading.
-      pending_retry_seq_ = record.seq;
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(fence.value.code());
-      reg.counter("log.append.errors").add();
-      return {Status{fence.value.error()}, delay};
-    }
-    if (*fence.value > record.fence_epoch) {
-      next_seq_ = record.seq + 1;
-      pending_retry_seq_ = kNoPendingRetry;
-      mark_divergent(path);
-      if (journal_) {
-        auto cleared = journal_->clear(record.seq);
-        delay += cleared.delay;
-      }
-      reg.counter("log.append.fenced").add();
-      span.set_duration(static_cast<std::uint64_t>(delay));
-      span.set_outcome(ErrorCode::kFenced);
-      return {Status{ErrorCode::kFenced, "log append fenced post-upload: " + path},
-              delay};
-    }
+  // tolerates the gap.
+  auto recheck = scfs::check_fence(*coordination_, path, record.fence_epoch);
+  delay += recheck.delay;
+  span.charge_child(static_cast<std::uint64_t>(recheck.delay));
+  if (recheck.value.code() == ErrorCode::kFenced) {
+    next_seq_ = record.seq + 1;
+    pending_retry_seq_ = kNoPendingRetry;
+    return fenced(std::move(recheck.value));
+  }
+  if (!recheck.value.ok()) {
+    // Fail closed: the epoch cannot be proved fresh, so the entry must not
+    // enter the chain. The payload is durable — remember the slot so the
+    // caller's retry adopts it instead of re-uploading.
+    pending_retry_seq_ = record.seq;
+    return fail(std::move(recheck.value));
   }
 
   // 5. Seal the metadata into the forward-secure stream — on a SCRATCH
@@ -349,15 +313,13 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
   auto committed = commit_log_record(*coordination_, record, sealed, crash_.get());
   delay += committed.delay;
   span.charge_child(static_cast<std::uint64_t>(committed.delay));
-  span.set_duration(static_cast<std::uint64_t>(delay));
   if (!committed.value.ok()) {
     // Payload durable, metadata not (fully) committed: remember the slot so
     // the caller's retry adopts it, and surface the distinct status.
     pending_retry_seq_ = record.seq;
-    span.set_outcome(committed.value.code());
-    reg.counter("log.append.errors").add();
-    return {std::move(committed.value), delay};
+    return fail(std::move(committed.value));
   }
+  span.set_duration(static_cast<std::uint64_t>(delay));
 
   signer_ = std::move(sealed);
   next_seq_ = record.seq + 1;
@@ -371,6 +333,17 @@ sim::Timed<Status> LogService::append(const std::string& path, const Bytes& old_
     (void)cleared;
   }
   return {Status::Ok(), delay};
+}
+
+sim::Timed<Status> store_aggregates(coord::CoordinationService& coord,
+                                    const std::string& user,
+                                    const fssagg::FssAggSigner& signer) {
+  auto stored = coord.replace(aggregate_pattern(user),
+                              {kAggregateTag, user, hex_encode(signer.aggregate_a()),
+                               hex_encode(signer.aggregate_b()),
+                               std::to_string(signer.count())});
+  if (!stored.value.ok()) return {Status{stored.value.error()}, stored.delay};
+  return {Status::Ok(), stored.delay};
 }
 
 sim::Timed<Status> commit_log_record(coord::CoordinationService& coord,
@@ -389,14 +362,11 @@ sim::Timed<Status> commit_log_record(coord::CoordinationService& coord,
                              "*", "*", "*", "*", "*", "*", "*", "*"}),
         record.to_tuple());
     if (crash) crash->maybe_crash(sim::CrashPoint::kAfterMetaAppend);
-    auto agg = coord.replace(
-        coord::Template::of({kAggregateTag, record.user, "*", "*", "*"}),
-        {kAggregateTag, record.user, hex_encode(signer.aggregate_a()),
-         hex_encode(signer.aggregate_b()), std::to_string(signer.count())});
+    auto agg = store_aggregates(coord, record.user, signer);
     coord_delay = std::max(meta.delay, agg.delay);
     group.set_duration(static_cast<std::uint64_t>(coord_delay));
     if (!meta.value.ok()) meta_status = Status{meta.value.error()};
-    if (!agg.value.ok()) agg_status = Status{agg.value.error()};
+    agg_status = std::move(agg.value);
   }
   if (!meta_status.ok() || !agg_status.ok()) {
     const Status& cause = !meta_status.ok() ? meta_status : agg_status;
@@ -435,7 +405,7 @@ Result<Bytes> unwrap_log_payload(BytesView payload) {
 
 sim::Timed<Result<StoredAggregates>> read_aggregates(coord::CoordinationService& coord,
                                                      const std::string& user) {
-  auto r = coord.rdp(coord::Template::of({kAggregateTag, user, "*", "*", "*"}));
+  auto r = coord.rdp(aggregate_pattern(user));
   if (!r.value.ok()) return {Error{r.value.error()}, r.delay};
   if (!r.value->has_value()) {
     return {Error{ErrorCode::kNotFound, "no aggregates for user " + user}, r.delay};

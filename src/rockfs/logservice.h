@@ -26,6 +26,7 @@
 #include "depsky/client.h"
 #include "diff/binary_diff.h"
 #include "fssagg/fssagg.h"
+#include "obs/trace.h"
 #include "scfs/lease.h"
 #include "sim/faults.h"
 #include "sim/timed.h"
@@ -63,6 +64,17 @@ struct LogRecord {
   coord::Tuple to_tuple() const;
   static Result<LogRecord> from_tuple(const coord::Tuple& t);
 
+  /// `tag` and the ten fields a committed record and its journal intent
+  /// share: user, seq, path, version, op, whole_file, payload_size,
+  /// payload_hash, timestamp_us, epoch. Each tuple appends its own tail.
+  coord::Tuple tuple_head(const char* tag) const;
+  /// Parses those ten fields of `t` (tag and size already checked); throws
+  /// std::exception on a malformed number or hex field.
+  static LogRecord parse_tuple_head(const coord::Tuple& t);
+
+  /// Whether `payload` is this record's data half: size and SHA-256 equal.
+  bool matches(BytesView payload) const;
+
   /// DepSky unit name of the data half.
   std::string data_unit() const;
 };
@@ -71,17 +83,13 @@ struct LogRecord {
 /// signer state in RAM only.
 class LogService {
  public:
+  /// Starts from `signer`: a fresh one over the initial keys, or a resumed
+  /// chain (signer state rebuilt from the stored aggregates and the key
+  /// evolved `count` times from the initial keys).
   LogService(std::string user_id, std::shared_ptr<depsky::DepSkyClient> storage,
              std::vector<cloud::AccessToken> log_tokens,
              std::shared_ptr<coord::CoordinationService> coordination,
-             sim::SimClockPtr clock, fssagg::FssAggKeys initial_keys);
-
-  /// Resumes an existing chain (signer state rebuilt from the stored
-  /// aggregates and the key evolved `count` times from the initial keys).
-  LogService(std::string user_id, std::shared_ptr<depsky::DepSkyClient> storage,
-             std::vector<cloud::AccessToken> log_tokens,
-             std::shared_ptr<coord::CoordinationService> coordination,
-             sim::SimClockPtr clock, fssagg::FssAggSigner resumed_signer);
+             sim::SimClockPtr clock, fssagg::FssAggSigner signer);
 
   ~LogService();
 
@@ -140,28 +148,27 @@ class LogService {
     return divergent_paths_;
   }
 
-  /// Tuple tag used for log metadata ("rocklog").
-  static const char* record_tag();
-  /// Tuple tag used for the replicated aggregates ("rockagg").
-  static const char* aggregate_tag();
-
   /// Enables LZ compression of ld_fu payloads (paper §6.2 future work).
   /// Compression is applied only when it actually shrinks the payload.
   void set_compression(bool enabled) noexcept { compress_ = enabled; }
   bool compression() const noexcept { return compress_; }
 
  private:
-  /// Builds the payload + unsealed record for one append (shared by
-  /// journal_intent and append). Charges the diff computation to *delay.
+  /// The payload + unsealed record of one append.
   struct Prepared {
     LogRecord record;
     Bytes payload;
     bool valid = false;
   };
-  Prepared prepare(const std::string& path, const Bytes& old_content,
-                   const Bytes& new_content, std::uint64_t version,
-                   const std::string& op, std::uint64_t fence_epoch,
-                   sim::SimClock::Micros* delay);
+  /// The staging step every append passes once (in journal_intent, or inline
+  /// in append): builds `out`, persists its intent when a journal is
+  /// attached, then reaches kAfterLogIntent. Charges the diff computation and
+  /// the journal round to *delay, the round to `span` as a child, and sets
+  /// `span`'s duration before the crash point so a crash there leaves the
+  /// staged work in the trace.
+  Status stage(const std::string& path, const Bytes& old_content, const Bytes& new_content,
+               std::uint64_t version, const std::string& op, std::uint64_t fence_epoch,
+               obs::Span& span, sim::SimClock::Micros* delay, Prepared& out);
   void maybe_crash(sim::CrashPoint point) {
     if (crash_) crash_->maybe_crash(point);
   }
@@ -189,6 +196,12 @@ class LogService {
 /// Zero-padded 12-digit sequence label used in tuple fields and data-unit
 /// names (shared with the journal and the scrubber).
 std::string padded_seq(std::uint64_t seq);
+
+/// Replaces `user`'s replicated aggregates tuple ("rockagg", user, A_1, B_1,
+/// count) with `signer`'s running state.
+sim::Timed<Status> store_aggregates(coord::CoordinationService& coord,
+                                    const std::string& user,
+                                    const fssagg::FssAggSigner& signer);
 
 /// Idempotently commits a sealed record plus the refreshed aggregates to the
 /// coordination service. Both tuples go through seq-/user-keyed replace, so

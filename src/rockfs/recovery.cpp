@@ -7,19 +7,11 @@
 
 #include "common/logging.h"
 #include "crypto/drbg.h"
-#include "crypto/sha256.h"
+#include "scfs/scfs.h"
 
 namespace rockfs::core {
 
 namespace {
-
-// Tuple layout mirrored from scfs.cpp (the recovery service updates the
-// file's inode after re-uploading it).
-constexpr const char* kInodeTag = "scfs-inode";
-
-coord::Template inode_pattern(const std::string& path) {
-  return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
-}
 
 // Local patch-application throughput (client CPU), for MTTR realism.
 constexpr double kPatchBytesPerSec = 400e6;
@@ -102,8 +94,7 @@ RecoveryService::SnapshotBaseline RecoveryService::load_snapshot(
   if (snap == nullptr) return baseline;
   auto payload = storage_->read(config_.admin_tokens, snap->data_unit());
   *delay += payload.delay;
-  if (!payload.value.ok()) return baseline;
-  if (!ct_equal(crypto::sha256(*payload.value), snap->payload_hash)) return baseline;
+  if (!payload.value.ok() || !snap->matches(*payload.value)) return baseline;
   auto unwrapped = unwrap_log_payload(*payload.value);
   if (!unwrapped.ok()) return baseline;
   auto delta = diff::LogDelta::deserialize(*unwrapped);
@@ -236,8 +227,7 @@ void RecoveryService::replay(const std::vector<const LogRecord*>& records, Bytes
     }
     download_delays.push_back(payload.delay);
     // Cross-check the data half against the MAC-verified metadata.
-    if (!payload.value.ok() ||
-        !ct_equal(crypto::sha256(*payload.value), r->payload_hash)) {
+    if (!payload.value.ok() || !r->matches(*payload.value)) {
       ++result->skipped_invalid;
       continue;
     }
@@ -345,11 +335,14 @@ Status RecoveryService::commit_recovered(const std::string& path, const Bytes& c
   // inherit the inode epoch at open) are not spuriously fenced.
   auto fence = scfs::read_fence_epoch(*coordination_, path);
   *delay += fence.delay;
-  const std::uint64_t epoch = fence.value.ok() ? *fence.value : 0;
-  auto meta = coordination_->replace(
-      inode_pattern(path),
-      {kInodeTag, path, std::to_string(version), std::to_string(content.size()),
-       user_id_, std::to_string(clock_->now_us()), std::to_string(epoch)});
+  scfs::FileStat inode;
+  inode.path = path;
+  inode.version = version;
+  inode.size = content.size();
+  inode.owner = user_id_;
+  inode.modified_us = clock_->now_us();
+  inode.epoch = fence.value.ok() ? *fence.value : 0;
+  auto meta = coordination_->replace(scfs::inode_pattern(path), scfs::inode_tuple(inode));
   *delay += meta.delay;
   if (!meta.value.ok()) return Status{meta.value.error()};
 

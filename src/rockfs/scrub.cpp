@@ -119,8 +119,7 @@ sim::Timed<Status> LogScrubber::find_orphans(const std::string& chain,
     for (const LogRecord& i : *intents.value) accounted.insert(i.data_unit());
   }
 
-  // Union of the unit names present on any cloud. A key is
-  // logs/<chain>/e<seq>.meta or .v<version>.s<i>; the unit is the prefix.
+  // Union of the unit names present on any cloud.
   const std::string prefix = "logs/" + chain + "/";
   const auto& clouds = storage_->config().clouds;
   std::set<std::string> present;
@@ -130,13 +129,9 @@ sim::Timed<Status> LogScrubber::find_orphans(const std::string& chain,
     list_delays.push_back(listed.delay);
     if (!listed.value.ok()) continue;
     for (const auto& obj : *listed.value) {
-      std::string unit = obj.key;
-      if (const auto meta = unit.rfind(".meta"); meta != std::string::npos) {
-        unit.resize(meta);
-      } else if (const auto ver = unit.rfind(".v"); ver != std::string::npos) {
-        unit.resize(ver);
+      if (auto unit = depsky::DepSkyClient::unit_of_key(obj.key)) {
+        present.insert(std::move(*unit));
       }
-      present.insert(std::move(unit));
     }
   }
   delay += sim::parallel_delay(list_delays);

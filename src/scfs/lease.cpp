@@ -63,6 +63,20 @@ sim::Timed<Result<std::uint64_t>> read_fence_epoch(coord::CoordinationService& c
   return {Result<std::uint64_t>{(*lease.value)->epoch}, lease.delay};
 }
 
+sim::Timed<Status> check_fence(coord::CoordinationService& coord, const std::string& path,
+                               std::uint64_t write_epoch) {
+  if (write_epoch == kNoFenceEpoch) return {Status::Ok(), 0};
+  auto epoch = read_fence_epoch(coord, path);
+  if (!epoch.value.ok()) return {Status{epoch.value.error()}, epoch.delay};
+  if (*epoch.value > write_epoch) {
+    return {Status{ErrorCode::kFenced, "fenced: " + path + " epoch " +
+                                           std::to_string(write_epoch) + " < " +
+                                           std::to_string(*epoch.value)},
+            epoch.delay};
+  }
+  return {Status::Ok(), epoch.delay};
+}
+
 sim::Timed<Result<std::size_t>> evict_holder_leases(coord::CoordinationService& coord,
                                                     const std::string& holder) {
   sim::SimClock::Micros delay = 0;

@@ -39,8 +39,7 @@ namespace rockfs::scfs {
 
 /// Sentinel epoch for LogService writes that hold no lease and must never be
 /// fenced: the recovery admin's chain, the unlink ("delete") append and the
-/// rotation record. Compares greater than every real epoch, so the
-/// `lease_epoch > write_epoch` fence test is vacuously false for it.
+/// rotation record. check_fence admits it without reading the lease.
 inline constexpr std::uint64_t kNoFenceEpoch = ~std::uint64_t{0};
 
 struct Lease {
@@ -69,10 +68,17 @@ sim::Timed<Result<std::optional<Lease>>> read_lease(coord::CoordinationService& 
 
 /// Current fencing epoch of `path`: the lease tuple's epoch, or 0 when the
 /// path has never been locked (nothing can have been evicted, so nothing can
-/// be fenced). The close and log-append pipelines consult this before
-/// committing.
+/// be fenced).
 sim::Timed<Result<std::uint64_t>> read_fence_epoch(coord::CoordinationService& coord,
                                                    const std::string& path);
+
+/// The fence decision of the close and log-append pipelines: may a write
+/// stamped `write_epoch` still commit to `path`? Ok at zero delay, without a
+/// read, for kNoFenceEpoch; the read's own error when no quorum answers;
+/// kFenced when the lease epoch has moved past `write_epoch`; Ok otherwise.
+/// Each caller picks its own reaction to each outcome.
+sim::Timed<Status> check_fence(coord::CoordinationService& coord, const std::string& path,
+                               std::uint64_t write_epoch);
 
 /// Administrative eviction of every lease `holder` currently holds (the
 /// revocation flow: a compromised user's sessions must lose their locks

@@ -9,18 +9,7 @@ namespace rockfs::scfs {
 
 namespace {
 
-// Tuple layout for file metadata in the coordination service:
-//   ("scfs-inode", path, version, size, owner, modified_us, epoch)
-// The epoch field stamps each committed version with the fencing epoch of
-// the write that produced it (lease.h): recovery orders interleaved
-// multi-writer records by (version, epoch).
 constexpr const char* kInodeTag = "scfs-inode";
-
-coord::Tuple inode_tuple(const FileStat& s) {
-  return {kInodeTag,          s.path, std::to_string(s.version), std::to_string(s.size),
-          s.owner,            std::to_string(s.modified_us),
-          std::to_string(s.epoch)};
-}
 
 Result<FileStat> parse_inode(const coord::Tuple& t) {
   if (t.size() != 7 || t[0] != kInodeTag) {
@@ -40,10 +29,6 @@ Result<FileStat> parse_inode(const coord::Tuple& t) {
   return s;
 }
 
-coord::Template inode_pattern(const std::string& path) {
-  return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
-}
-
 /// Identity cache transform: what stock SCFS does (plaintext cache on disk).
 class PassthroughTransform final : public CacheTransform {
  public:
@@ -56,6 +41,16 @@ class PassthroughTransform final : public CacheTransform {
 };
 
 }  // namespace
+
+coord::Tuple inode_tuple(const FileStat& s) {
+  return {kInodeTag,          s.path, std::to_string(s.version), std::to_string(s.size),
+          s.owner,            std::to_string(s.modified_us),
+          std::to_string(s.epoch)};
+}
+
+coord::Template inode_pattern(const std::string& path) {
+  return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
+}
 
 Scfs::Scfs(std::shared_ptr<depsky::DepSkyClient> storage,
            std::vector<cloud::AccessToken> storage_tokens,
@@ -382,17 +377,17 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
   // Fencing pre-flight: refuse before ANY cloud object of this commit exists
   // when the lease epoch already moved past this writer. A hang at the crash
   // point above models exactly the stall (GC pause, partition) after which
-  // an evicted client would otherwise clobber its successor.
-  auto preflight = read_fence_epoch(*coordination_, job.path);
+  // an evicted client would otherwise clobber its successor. A failed fence
+  // read is not a license to commit blind; the commit-side check (log append
+  // / pre-inode) settles it.
+  auto preflight = check_fence(*coordination_, job.path, job.write_epoch);
   r.local += preflight.delay;
   span.charge_child(static_cast<std::uint64_t>(preflight.delay));
-  if (preflight.value.ok() && *preflight.value > job.write_epoch) {
+  if (preflight.value.code() == ErrorCode::kFenced) {
     close_fenced_->add();
-    r.status = {ErrorCode::kFenced, "scfs: fenced: " + job.path + " epoch moved past writer"};
+    r.status = std::move(preflight.value);
     return r;
   }
-  // A failed fence read is not a license to commit blind; the commit-side
-  // check (log append / pre-inode) settles it.
 
   if (cache_) {
     cache_->put_data(job.path,
@@ -431,12 +426,11 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
   }
   if (crash_) crash_->maybe_crash(sim::CrashPoint::kAfterFilePut);
   r.pipeline = file_up.delay;
-  Status interceptor_status;
-  bool fence_unresolved = false;
+  Status commit_status;
   if (interceptor_) {
     auto extra = interceptor_(job.path, job.log_base, job.content, job.new_version,
                               job.write_epoch);
-    if (!extra.value.ok()) interceptor_status = std::move(extra.value);
+    commit_status = std::move(extra.value);
     // File and log pipelines run in parallel (§6.1 optimization (2)) but
     // their transfers contend for the client uplink.
     const auto shorter = std::min(r.pipeline, extra.delay);
@@ -448,31 +442,23 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
     // after the crash point above (whose hang is the eviction window),
     // before the inode moves. Its delay rides r.pipeline, which the span
     // charges once below.
-    auto fence = read_fence_epoch(*coordination_, job.path);
+    auto fence = check_fence(*coordination_, job.path, job.write_epoch);
     r.pipeline += fence.delay;  // serialized after the upload
-    if (!fence.value.ok()) {
-      // Fail closed: without a quorum read of the lease we cannot prove the
-      // epoch still admits this writer, and the inode commit needs the
-      // coordination service anyway. Surface the (retryable) read error and
-      // leave the inode untouched rather than commit a possibly fenced write.
-      interceptor_status = Status{fence.value.error()};
-      fence_unresolved = true;
-    } else if (*fence.value > job.write_epoch) {
-      interceptor_status = Status{
-          ErrorCode::kFenced, "scfs: fenced: " + job.path + " epoch moved past writer"};
-    }
+    commit_status = std::move(fence.value);
   }
   pipeline_span.set_duration(static_cast<std::uint64_t>(r.pipeline));
   pipeline_span.finish();
   span.charge_child(static_cast<std::uint64_t>(r.pipeline));
 
-  if (interceptor_status.code() == ErrorCode::kFenced || fence_unresolved) {
-    // The commit was refused on a stale epoch (or the epoch could not be
-    // proved fresh): the inode must NOT move — the file's authoritative
-    // version and its log chain stay un-forked; the uploaded object is
-    // superseded garbage the next committed write buries.
-    if (interceptor_status.code() == ErrorCode::kFenced) close_fenced_->add();
-    r.status = std::move(interceptor_status);
+  // A fenced commit must NOT move the inode: the file's authoritative
+  // version and its log chain stay un-forked, and the uploaded object is
+  // superseded garbage the next committed write buries. Without a log
+  // pipeline any failed check refuses too (fail closed: an unreadable lease
+  // cannot prove the epoch still admits this writer); a log error is
+  // otherwise non-fatal.
+  if (commit_status.code() == ErrorCode::kFenced || (!interceptor_ && !commit_status.ok())) {
+    if (commit_status.code() == ErrorCode::kFenced) close_fenced_->add();
+    r.status = std::move(commit_status);
     return r;
   }
 
@@ -491,7 +477,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
     return r;
   }
   r.committed = true;
-  r.status = std::move(interceptor_status);  // may carry a non-fatal log error
+  r.status = std::move(commit_status);  // may carry a non-fatal log error
 
   if (cache_) {
     // The committed write is the freshest head version this client can know:

@@ -74,6 +74,15 @@ struct FileStat {
   std::uint64_t epoch = 0;
 };
 
+/// A file's inode in the coordination service, tagged scfs-inode:
+///   (tag, path, version, size, owner, modified_us, epoch)
+/// The epoch stamps each committed version with the fencing epoch of the
+/// write that produced it (lease.h): recovery orders interleaved
+/// multi-writer records by (version, epoch).
+coord::Tuple inode_tuple(const FileStat& s);
+/// Wildcard pattern matching the inode of `path`.
+coord::Template inode_pattern(const std::string& path);
+
 struct ScfsOptions {
   SyncMode sync_mode = SyncMode::kNonBlocking;
   bool use_cache = true;

@@ -345,5 +345,20 @@ TEST(Scrubber, ReportsOrphanedLogUnits) {
   EXPECT_EQ(report->orphan_units[0], "logs/alice/e000000000917");
 }
 
+TEST(Scrubber, ChainNamedLikeAMetadataKeyHasNoOrphans) {
+  DeploymentOptions opts;
+  opts.seed = 34;
+  Deployment dep(opts);
+  auto& user = dep.add_user("a.meta");
+  ASSERT_TRUE(user.write_file("/f", content_for("dotted", 34)).ok());
+
+  // Every key under logs/a.meta/ belongs to a recorded entry; ".meta" inside
+  // the chain name must not cut the unit short.
+  auto report = dep.make_scrubber("a.meta").scrub();
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  EXPECT_TRUE(report->orphan_units.empty())
+      << report->orphan_units.size() << " orphans, first " << report->orphan_units[0];
+}
+
 }  // namespace
 }  // namespace rockfs::core

@@ -14,7 +14,6 @@
 #include "crypto/kernels.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
-#include "crypto/sha512.h"
 #include "crypto/signature.h"
 
 namespace rockfs::crypto {
@@ -108,42 +107,12 @@ TEST(Sha256, EverySplitOfAThreeBlockUpdate) {
   }
 }
 
-// ---------------------------------------------------------------- SHA-512
-
-TEST(Sha512, AbcVector) {
-  EXPECT_EQ(hex_encode(sha512(to_bytes("abc"))),
-            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
-            "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f");
-}
-
-TEST(Sha512, StreamingMatchesOneShot) {
-  Bytes data;
-  for (int i = 0; i < 5000; ++i) data.push_back(static_cast<Byte>(i * 13));
-  Sha512 ctx;
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const std::size_t take = std::min<std::size_t>(257, data.size() - off);
-    ctx.update(BytesView(data).subspan(off, take));
-    off += take;
-  }
-  EXPECT_EQ(ctx.finish(), sha512(data));
-}
-
-TEST(Sha512, DistinctFromSha256AndSized) {
-  const Bytes d = sha512(to_bytes("rockfs"));
-  EXPECT_EQ(d.size(), 64u);
-  EXPECT_NE(hex_encode(d).substr(0, 64), hex_encode(sha256(to_bytes("rockfs"))));
-}
-
 // ---------------------------------------------------------------- HMAC/HKDF
 
 TEST(Hmac, Rfc4231Case1) {
   const Bytes key(20, 0x0b);
   EXPECT_EQ(hex_encode(hmac_sha256(key, to_bytes("Hi There"))),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-  EXPECT_EQ(hex_encode(hmac_sha512(key, to_bytes("Hi There"))),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde"
-            "daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854");
 }
 
 TEST(Hmac, Rfc4231Case2) {
@@ -381,24 +350,6 @@ TEST(Bigint, InvModPrime) {
   const Uint256 inv = inv_mod_prime(a, p);
   EXPECT_EQ(mul_mod(a, inv, p), Uint256(1));
   EXPECT_THROW(inv_mod_prime(Uint256(0), p), std::invalid_argument);
-}
-
-TEST(Bigint, IsqrtExactAndFloor) {
-  Uint512 a{};
-  a.limb[0] = 144;
-  EXPECT_EQ(isqrt(a), Uint256(12));
-  a.limb[0] = 150;
-  EXPECT_EQ(isqrt(a), Uint256(12));
-  a.limb[0] = 0;
-  EXPECT_EQ(isqrt(a), Uint256(0));
-}
-
-TEST(Bigint, IcbrtExactAndFloor) {
-  Uint512 a{};
-  a.limb[0] = 27'000;
-  EXPECT_EQ(icbrt(a), Uint256(30));
-  a.limb[0] = 26'999;
-  EXPECT_EQ(icbrt(a), Uint256(29));
 }
 
 TEST(Bigint, BitLength) {

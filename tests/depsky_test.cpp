@@ -303,5 +303,22 @@ TEST_F(DepSkyFixture, WriteLatencyGrowsWithSize) {
   EXPECT_GT(large, small * 5);
 }
 
+TEST(DepSkyKeys, UnitOfKeyStripsOnlyTheLayoutSuffix) {
+  // ".meta" or ".v<V>" inside the unit name is part of the unit.
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/x.meta.v2.s1"), "files/x.meta");
+  EXPECT_EQ(DepSkyClient::unit_of_key("logs/a.meta/e000000000000.v1.s0"),
+            "logs/a.meta/e000000000000");
+  EXPECT_EQ(DepSkyClient::unit_of_key("logs/a.meta/e000000000000.meta"),
+            "logs/a.meta/e000000000000");
+  EXPECT_EQ(DepSkyClient::unit_of_key(DepSkyClient::share_key("files/a.v1", 7, 3)),
+            "files/a.v1");
+  EXPECT_EQ(DepSkyClient::unit_of_key(DepSkyClient::metadata_key("files/a.v1")), "files/a.v1");
+  // Neither suffix: no unit.
+  EXPECT_EQ(DepSkyClient::unit_of_key("logs/a.meta/e000000000000"), std::nullopt);
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/x.v2.s"), std::nullopt);
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/x.v.s1"), std::nullopt);
+  EXPECT_EQ(DepSkyClient::unit_of_key("files/x.s1"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace rockfs::depsky

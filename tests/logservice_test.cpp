@@ -175,7 +175,8 @@ TEST(AppendPipeline, PartialCommitRetryDoesNotForkChain) {
     tokens.push_back(c->issue_token("carol", "rockfs", cloud::TokenScope::kLogAppend));
   }
   const auto keys = fssagg::fssagg_keygen(drbg);
-  LogService svc("carol", storage, tokens, dep.coordination(), dep.clock(), keys);
+  LogService svc("carol", storage, tokens, dep.coordination(), dep.clock(),
+                 fssagg::FssAggSigner(keys));
 
   const Bytes v1 = to_bytes("partial commit test content, version one ........");
   const Bytes v2 = to_bytes("partial commit test content, version two ......!!");

@@ -94,6 +94,155 @@ TEST(Fencing, LeaseExpiredMidCloseIsFencedNotForked) {
   EXPECT_TRUE(bob.unlock("/f").ok());
 }
 
+// Alice's records on her own chain (read straight from the coordination
+// service).
+std::vector<LogRecord> alice_chain(Deployment& dep) {
+  auto records = read_log_records(*dep.coordination(), "alice");
+  EXPECT_TRUE(records.value.ok());
+  return records.value.ok() ? *records.value : std::vector<LogRecord>{};
+}
+
+std::string describe(const Status& st) { return st.ok() ? "ok" : st.error().message; }
+
+TEST(Fencing, StallAfterFilePutIsFencedBeforeThePayloadUpload) {
+  Deployment dep(blocking_opts());
+  auto& alice = dep.add_user("alice");
+  auto& bob = dep.add_user("bob");
+  ASSERT_TRUE(alice.write_file("/f", to_bytes("base")).ok());
+  const std::size_t alice_records = alice_chain(dep).size();
+  const std::uint64_t seq_before = alice.log_seq();
+
+  ASSERT_TRUE(alice.lock("/f").ok());
+  auto fd = alice.open("/f");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(alice.append(*fd, to_bytes(" + alice")).ok());
+
+  // The file object is durable; the stall hits before the log pipeline, so
+  // the pre-flight has already passed and the log append's own check (before
+  // its payload upload) is the one that must refuse.
+  auto& crash = *dep.crash_schedule();
+  crash.arm_hang(sim::CrashPoint::kAfterFilePut, 2 * kTtl);
+  bool bob_won = false;
+  crash.set_hang_hook([&] {
+    ASSERT_TRUE(bob.lock("/f").ok());
+    ASSERT_TRUE(bob.write_file("/f", to_bytes("bob version")).ok());
+    bob_won = true;
+  });
+  auto st = alice.close(*fd);
+  crash.set_hang_hook(nullptr);
+  ASSERT_TRUE(bob_won);
+  EXPECT_EQ(st.code(), ErrorCode::kFenced) << describe(st);
+
+  // Refused before the payload upload: no record, and the slot stays
+  // pristine, so the next append reuses it.
+  EXPECT_EQ(alice_chain(dep).size(), alice_records);
+  EXPECT_EQ(alice.log_seq(), seq_before);
+  alice.fs().clear_cache();
+  auto content = alice.read_file("/f");
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(to_string(*content), "bob version");
+}
+
+TEST(Fencing, StallAfterLogPayloadPutBurnsTheSlotAndGoesWholeFile) {
+  Deployment dep(blocking_opts());
+  auto& alice = dep.add_user("alice");
+  auto& bob = dep.add_user("bob");
+  // Large enough that an unmarked rewrite of alice's own version logs a
+  // delta, so only the divergence mark can make the next record whole-file.
+  std::string base;
+  for (int i = 0; i < 64; ++i) base += "line " + std::to_string(i) + " of alice's file\n";
+  ASSERT_TRUE(alice.write_file("/f", to_bytes(base)).ok());
+  const std::size_t alice_records = alice_chain(dep).size();
+  const std::uint64_t seq_before = alice.log_seq();
+
+  ASSERT_TRUE(alice.lock("/f").ok());
+  auto fd = alice.open("/f");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(alice.append(*fd, to_bytes("fenced tail\n")).ok());
+
+  // The payload is durable when the stall hits: only the log append's
+  // post-upload check stands between it and alice's chain. Bob's commit goes
+  // to another path, so /f's head stays alice's own version.
+  auto& crash = *dep.crash_schedule();
+  crash.arm_hang(sim::CrashPoint::kAfterLogPayloadPut, 2 * kTtl);
+  bool bob_won = false;
+  crash.set_hang_hook([&] {
+    ASSERT_TRUE(bob.lock("/f").ok());
+    ASSERT_TRUE(bob.write_file("/g", to_bytes("bob version")).ok());
+    bob_won = true;
+  });
+  auto st = alice.close(*fd);
+  crash.set_hang_hook(nullptr);
+  ASSERT_TRUE(bob_won);
+  EXPECT_EQ(st.code(), ErrorCode::kFenced) << describe(st);
+
+  // The occupied slot is skipped, nothing entered the chain, and the audit
+  // tolerates the gap.
+  EXPECT_EQ(alice_chain(dep).size(), alice_records);
+  EXPECT_EQ(alice.log_seq(), seq_before + 1);
+  auto recovery = dep.make_recovery_service("alice");
+  auto audit = recovery.audit_log();
+  ASSERT_TRUE(audit.ok());
+  EXPECT_TRUE(audit->report.ok);
+
+  // /f is divergent: alice's next committed record for it is whole-file even
+  // though its base is her own, logged version.
+  ASSERT_TRUE(bob.unlock("/f").ok());
+  ASSERT_TRUE(alice.lock("/f").ok());
+  alice.fs().clear_cache();
+  ASSERT_TRUE(alice.write_file("/f", to_bytes(base + "next tail\n")).ok());
+  const auto after = alice_chain(dep);
+  ASSERT_EQ(after.size(), alice_records + 1);
+  EXPECT_EQ(after.back().path, "/f");
+  EXPECT_EQ(after.back().seq, seq_before + 1);
+  EXPECT_TRUE(after.back().whole_file);
+  EXPECT_TRUE(alice.unlock("/f").ok());
+}
+
+TEST(Fencing, LoggingOffStallAfterFilePutLeavesTheInodeUnmoved) {
+  auto opts = blocking_opts();
+  opts.agent.enable_logging = false;
+  Deployment dep(opts);
+  auto& alice = dep.add_user("alice");
+  auto& bob = dep.add_user("bob");
+  ASSERT_TRUE(alice.write_file("/f", to_bytes("base")).ok());
+
+  ASSERT_TRUE(alice.lock("/f").ok());
+  auto fd = alice.open("/f");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(alice.append(*fd, to_bytes(" + alice")).ok());
+
+  // No log pipeline: Scfs's own commit-side check is the only fence between
+  // the stalled upload and the inode.
+  auto& crash = *dep.crash_schedule();
+  crash.arm_hang(sim::CrashPoint::kAfterFilePut, 2 * kTtl);
+  std::uint64_t bob_version = 0;
+  crash.set_hang_hook([&] {
+    ASSERT_TRUE(bob.lock("/f").ok());
+    ASSERT_TRUE(bob.write_file("/f", to_bytes("bob version")).ok());
+    auto s = bob.stat("/f");
+    ASSERT_TRUE(s.ok());
+    bob_version = s->version;
+  });
+  auto st = alice.close(*fd);
+  crash.set_hang_hook(nullptr);
+  ASSERT_NE(bob_version, 0u);
+  EXPECT_EQ(st.code(), ErrorCode::kFenced) << describe(st);
+
+  // Bob's lease-validated meta entry would answer his stat from memory, so
+  // read the authoritative inode through a cleared cache.
+  alice.fs().clear_cache();
+  auto stat = alice.stat("/f");
+  ASSERT_TRUE(stat.ok());
+  EXPECT_EQ(stat->version, bob_version);
+  EXPECT_EQ(stat->owner, "bob");
+  EXPECT_EQ(stat->epoch, 2u);
+  auto content = alice.read_file("/f");
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(to_string(*content), "bob version");
+  EXPECT_TRUE(bob.unlock("/f").ok());
+}
+
 TEST(Fencing, CrashedHolderBlocksContenderAtMostOneTtl) {
   auto opts = blocking_opts();
   Deployment dep(opts);

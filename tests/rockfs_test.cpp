@@ -580,6 +580,24 @@ TEST(Agent, LoggingOffMatchesPlainScfs) {
   EXPECT_TRUE(records.value->empty());
 }
 
+TEST(Agent, ReadFileReturnsTheOpenedContentOrAnError) {
+  Deployment dep;
+  auto& alice = dep.add_user("alice");
+  ASSERT_TRUE(alice.write_file("/f", to_bytes("hello world")).ok());
+  alice.drain_background();
+
+  // Two of the four coordination replicas go dark just after the open's
+  // round: no later round can reach a quorum. The opened version is already
+  // in hand, so the read must return all of it, never a short OK.
+  const auto now = dep.clock()->now_us();
+  for (std::size_t i = 0; i < 2; ++i) {
+    dep.coordination()->replica_faults(i).add_outage(now + 1, now + 60'000'000);
+  }
+  auto content = alice.read_file("/f");
+  ASSERT_TRUE(content.ok()) << content.error().message;
+  EXPECT_EQ(to_string(*content), "hello world");
+}
+
 TEST(Agent, NonBlockingModeWorksEndToEnd) {
   DeploymentOptions opts;
   opts.agent.sync_mode = scfs::SyncMode::kNonBlocking;
