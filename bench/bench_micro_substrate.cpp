@@ -1,9 +1,13 @@
 // Substrate micro-benchmarks (google-benchmark, REAL time): throughput of
 // the cryptographic and coding primitives every RockFS operation is built
-// from. Not a paper figure — these bound where the client-side CPU time goes
-// and back the DESIGN.md §5 calibration.
+// from, plus the host cost of one DepSky metadata round. Not a paper figure —
+// these bound where the client-side CPU time goes and back the DESIGN.md §5
+// calibration.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "cloud/provider.h"
 #include "common/rng.h"
 #include "crypto/aes.h"
 #include "crypto/drbg.h"
@@ -11,6 +15,7 @@
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
 #include "crypto/signature.h"
+#include "depsky/client.h"
 #include "diff/binary_diff.h"
 #include "erasure/reed_solomon.h"
 #include "fssagg/fssagg.h"
@@ -155,6 +160,27 @@ void BM_ShamirShareCombine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShamirShareCombine);
+
+// One metadata quorum round, DepSkyClient::head_version, on an in-memory
+// 4-cloud fleet holding one honestly written unit: four gets, four
+// deserializations and the trust decision for the copies. The round's
+// virtual latency is simulated, so this is host time only.
+void BM_HeadVersion(benchmark::State& state) {
+  auto clock = std::make_shared<sim::SimClock>();
+  const auto clouds = cloud::make_provider_fleet(clock, 4, 1);
+  std::vector<cloud::AccessToken> tokens;
+  for (const auto& c : clouds) {
+    tokens.push_back(c->issue_token("bench", "fs", cloud::TokenScope::kFiles));
+  }
+  crypto::Drbg drbg(to_bytes("bench"));
+  depsky::DepSkyConfig cfg;
+  cfg.clouds = clouds;
+  cfg.writer = crypto::generate_keypair(drbg);
+  depsky::DepSkyClient client(std::move(cfg), to_bytes("bench"));
+  client.write(tokens, "files/bench", make_data(4 << 10)).value.expect("write");
+  for (auto _ : state) benchmark::DoNotOptimize(client.head_version(tokens, "files/bench"));
+}
+BENCHMARK(BM_HeadVersion);
 
 }  // namespace
 }  // namespace rockfs

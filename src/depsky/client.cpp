@@ -68,6 +68,8 @@ DepSkyClient::DepSkyClient(DepSkyConfig config, BytesView drbg_seed)
   obs_.deadline_hits = &reg.counter("depsky.deadline_hits");
   obs_.breaker_skips = &reg.counter("depsky.breaker.skips");
   obs_.forced_probes = &reg.counter("depsky.forced_probes");
+  obs_.meta_verified = &reg.counter("depsky.meta.verified");
+  obs_.meta_reused = &reg.counter("depsky.meta.reused");
   for (const auto& cloud : config_.clouds) {
     obs_.put_data_bytes.push_back(
         &reg.counter(obs::metric_key("depsky.put.data.bytes", cloud->name())));
@@ -320,6 +322,25 @@ bool DepSkyClient::trusted(const UnitMetadata& meta) const {
   return false;
 }
 
+bool DepSkyClient::authentic(const std::string& unit, BytesView raw,
+                             const UnitMetadata& meta, Verdicts& decided) const {
+  const auto same = [&](const Bytes& copy) { return std::ranges::equal(copy, raw); };
+  if (const auto head = accepted_heads_.find(unit);
+      head != accepted_heads_.end() && same(head->second)) {
+    obs_.meta_reused->add();
+    return true;
+  }
+  for (const auto& [copy, verdict] : decided) {
+    if (!same(copy)) continue;
+    if (verdict) obs_.meta_reused->add();
+    return verdict;
+  }
+  obs_.meta_verified->add();
+  const bool ok = trusted(meta);
+  decided.emplace_back(Bytes(raw.begin(), raw.end()), ok);
+  return ok;
+}
+
 std::string DepSkyClient::metadata_key(const std::string& unit) { return unit + ".meta"; }
 
 std::string DepSkyClient::share_key(const std::string& unit, std::uint64_t version,
@@ -343,22 +364,30 @@ std::optional<std::string> DepSkyClient::unit_of_key(const std::string& key) {
 DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     const std::vector<cloud::AccessToken>& tokens, const std::string& unit) {
   // Query every contactable cloud in parallel; a quorum of n-f responses
-  // (found or definitive not-found) settles the answer. Deserialization and
-  // signature verification run inside each branch (so ECDSA verifies
-  // overlap on the pool); the highest-version selection happens post-join
-  // in ascending cloud order so it is schedule-independent.
+  // (found or definitive not-found) settles the answer. Branches only fetch,
+  // deserialize and shape-check. Trust is decided post-join, in ascending
+  // cloud order on this thread, by authentic(): the clouds of an honest
+  // round serve identical bytes, so each distinct copy is verified at most
+  // once, and a copy equal to the head this client last accepted costs a
+  // byte comparison. The price: on a multi-thread pool, several *distinct*
+  // authentic copies in one round verify one after another instead of
+  // overlapping (an honest round verifies at most one). The highest-version
+  // selection also happens here, so it is schedule-independent.
   obs::Span group = obs::tracer().span("depsky.meta_fetch", {.fanout = true});
   struct MetaProbe {
     sim::SimClock::Micros delay = 0;
     bool responded = false;  // found or definitive not-found
-    std::optional<UnitMetadata> meta;
+    Bytes raw;               // the copy as served
+    std::optional<UnitMetadata> meta;  // well-formed for this unit; unverified
   };
   UnitMetadata best;
+  Bytes best_raw;
   bool found = false;
   std::size_t responses = 0;
+  Verdicts decided;
   const auto ingest = [&](std::size_t i, MetaProbe&& probe) {
     if (probe.responded) ++responses;
-    if (probe.meta) {
+    if (probe.meta && authentic(unit, probe.raw, *probe.meta, decided)) {
       // Freshness check against the witness: a cloud answering below its own
       // provable mark is lying (an honest cloud that merely missed a write
       // never has a mark above what it stores). kNotFound is deliberately
@@ -380,6 +409,7 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
           (probe.meta->version == best.version &&
            probe.meta->membership_epoch > best.membership_epoch)) {
         best = std::move(*probe.meta);
+        best_raw = std::move(probe.raw);
         found = true;
       }
     }
@@ -392,9 +422,9 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     if (got.value.ok()) {
       probe.responded = true;
       auto meta = UnitMetadata::deserialize(*got.value);
-      if (meta.ok() && meta->unit == unit && trusted(*meta) &&
-          meta->share_digests.size() == n()) {
+      if (meta.ok() && meta->unit == unit && meta->share_digests.size() == n()) {
         probe.meta = std::move(*meta);
+        probe.raw = std::move(*got.value);
       }
     } else if (got.value.code() == ErrorCode::kNotFound) {
       probe.responded = true;
@@ -430,6 +460,7 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
             delay};
   }
   witness_->record_unit(unit, best.version, config_.session);
+  accepted_heads_[unit] = std::move(best_raw);
   return {std::move(best), delay};
 }
 
@@ -825,6 +856,7 @@ sim::Timed<Result<DepSkyClient::RepairReport>> DepSkyClient::repair(
   // with the bytes, so re-putting the serialized copy preserves authenticity.
   const Bytes meta_bytes = meta.serialize();
   std::vector<sim::SimClock::Micros> meta_delays;
+  Verdicts decided;
   {
     obs::Span group = obs::tracer().span("depsky.repair_meta", {.fanout = true});
     for (std::size_t i = 0; i < n(); ++i) {
@@ -834,7 +866,8 @@ sim::Timed<Result<DepSkyClient::RepairReport>> DepSkyClient::repair(
       if (got.value.ok()) {
         auto m = UnitMetadata::deserialize(*got.value);
         replica_ok = m.ok() && m->unit == unit && m->version >= meta.version &&
-                     trusted(*m) && m->share_digests.size() == n();
+                     m->share_digests.size() == n() &&
+                     authentic(unit, *got.value, *m, decided);
       }
       if (!replica_ok) {
         auto put = config_.clouds[i]->put(tokens[i], metadata_key(unit), meta_bytes);
@@ -883,6 +916,7 @@ sim::Timed<Result<DepSkyClient::ShareInventory>> DepSkyClient::share_inventory(
   // Direct per-cloud probes, deliberately bypassing the circuit breakers: a
   // scrub wants ground truth about every cloud, not fast availability.
   std::vector<sim::SimClock::Micros> probe_delays;
+  Verdicts decided;
   {
     obs::Span group = obs::tracer().span("depsky.inventory", {.fanout = true});
     for (std::size_t i = 0; i < n(); ++i) {
@@ -901,7 +935,8 @@ sim::Timed<Result<DepSkyClient::ShareInventory>> DepSkyClient::share_inventory(
       cloud_delay += mg.delay;
       if (mg.value.ok()) {
         auto m = UnitMetadata::deserialize(*mg.value);
-        if (m.ok() && m->unit == unit && trusted(*m) && m->share_digests.size() == n()) {
+        if (m.ok() && m->unit == unit && m->share_digests.size() == n() &&
+            authentic(unit, *mg.value, *m, decided)) {
           // Stale-but-authentic replicas (what a rolled-back cloud serves)
           // are counted separately and never inflate meta_replicas — the
           // scrubber treats them as degradation, not redundancy.
@@ -966,6 +1001,7 @@ sim::Timed<Status> DepSkyClient::remove(const std::vector<cloud::AccessToken>& t
   // A sanctioned remove resets the freshness memory: recreating the unit at
   // version 1 afterwards must not read as a rollback.
   witness_->forget_unit(unit);
+  accepted_heads_.erase(unit);
   return {Status::Ok(), delay};
 }
 

@@ -15,10 +15,12 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/provider.h"
@@ -82,7 +84,9 @@ class DepSkyClient {
   const DepSkyConfig& config() const noexcept { return config_; }
   /// Adds a metadata signer the reader will accept (idempotent). Multi-client
   /// sharing: each user trusts the other writers of the shared namespace, so
-  /// a unit last written by a peer stays readable.
+  /// a unit last written by a peer stays readable. The roster only ever
+  /// grows, which is why a remembered "authentic" verdict (the accepted
+  /// heads below) can never go stale; a future removal must clear that map.
   void add_trusted_writer(Bytes public_key) {
     for (const auto& w : config_.trusted_writers) {
       if (w == public_key) return;
@@ -222,6 +226,16 @@ class DepSkyClient {
                                const std::string& unit);
   /// Whether the metadata is signed by any trusted writer.
   bool trusted(const UnitMetadata& meta) const;
+  /// Signature verdicts reached within one pass over the clouds' copies of
+  /// a unit's metadata (one quorum round, one repair or inventory sweep),
+  /// keyed by the exact serialized bytes.
+  using Verdicts = std::vector<std::pair<Bytes, bool>>;
+  /// The one trust decision for a metadata copy: `raw` as served, `meta`
+  /// its deserialization (already shape-checked). A copy byte-identical to
+  /// the unit's accepted head, or to one in `decided`, reuses that verdict;
+  /// any other copy runs trusted() once and joins `decided`.
+  bool authentic(const std::string& unit, BytesView raw, const UnitMetadata& meta,
+                 Verdicts& decided) const;
   /// Shared body of read / read_archived.
   sim::Timed<Result<Bytes>> read_impl(const std::vector<cloud::AccessToken>& tokens,
                                       const std::string& unit, bool cold);
@@ -285,6 +299,8 @@ class DepSkyClient {
     obs::Counter* deadline_hits = nullptr;
     obs::Counter* breaker_skips = nullptr;
     obs::Counter* forced_probes = nullptr;
+    obs::Counter* meta_verified = nullptr;  // metadata signature checks run
+    obs::Counter* meta_reused = nullptr;    // copies accepted by byte equality
     std::vector<obs::Counter*> put_data_bytes;  // per cloud, acked data puts
     std::vector<obs::Counter*> put_data_acks;   // per cloud
   };
@@ -299,6 +315,11 @@ class DepSkyClient {
   mutable std::mutex stats_mu_;        // guards stats_ (branches update it)
   ResilienceStats stats_;
   ObsHandles obs_;
+  /// unit -> serialized head metadata the last successful fetch_metadata
+  /// selected. Every entry passed trusted() in this client, so an unchanged
+  /// head costs a byte comparison instead of a signature check. Touched only
+  /// on the coordinator thread (ingest runs there, never in branches).
+  std::map<std::string, Bytes> accepted_heads_;
 };
 
 }  // namespace rockfs::depsky

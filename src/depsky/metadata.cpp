@@ -36,6 +36,7 @@ Result<UnitMetadata> UnitMetadata::deserialize(BytesView b) {
     m.unit = to_string(read_lp(b, &off));
     m.version = read_u64(b, off);
     off += 8;
+    if (off >= b.size()) return Error{ErrorCode::kCorrupted, "metadata: truncated"};
     const Byte proto = b[off++];
     if (proto > 1) return Error{ErrorCode::kCorrupted, "metadata: bad protocol"};
     m.protocol = static_cast<Protocol>(proto);

@@ -5,6 +5,8 @@
 #include "common/rng.h"
 #include "crypto/sha256.h"
 #include "depsky/client.h"
+#include "depsky/health.h"
+#include "sim/faults.h"
 
 namespace rockfs::depsky {
 namespace {
@@ -34,6 +36,21 @@ struct DepSkyFixture : ::testing::Test {
     cfg.protocol = p;
     cfg.writer = writer;
     return DepSkyClient(std::move(cfg), to_bytes("seed"));
+  }
+};
+
+// Metadata trust decisions so far: signature checks run and copies accepted
+// by byte equality (process-wide counters, so tests diff two snapshots).
+struct TrustCounts {
+  std::uint64_t verified = 0;
+  std::uint64_t reused = 0;
+
+  static TrustCounts now() {
+    return {obs::metrics().counter("depsky.meta.verified").value(),
+            obs::metrics().counter("depsky.meta.reused").value()};
+  }
+  TrustCounts since(const TrustCounts& before) const {
+    return {verified - before.verified, reused - before.reused};
   }
 };
 
@@ -157,25 +174,113 @@ TEST_F(DepSkyFixture, CaUsesHalfTheStorageOfA) {
 }
 
 TEST_F(DepSkyFixture, RejectsForgedMetadata) {
-  auto client = make_client(Protocol::kCA);
-  client.write(file_tokens, "files/f", to_bytes("honest")).value.expect("w");
   // An attacker without the writer key plants forged metadata at one cloud;
-  // the signature check must reject it and fall back to honest copies.
+  // the signature check must reject it on every read and fall back to honest
+  // copies, whether the forged copy is ingested before or after the honest
+  // copy that gets verified.
   crypto::Drbg attacker_drbg(to_bytes("attacker"));
   const crypto::KeyPair attacker = crypto::generate_keypair(attacker_drbg);
-  UnitMetadata forged;
-  forged.unit = "files/f";
-  forged.version = 999;
-  forged.protocol = Protocol::kCA;
-  forged.data_size = 1;
-  forged.share_digests.assign(4, crypto::sha256(to_bytes("x")));
-  forged.sign(attacker);
-  clouds[0]
-      ->put(file_tokens[0], "files/f.meta", forged.serialize())
-      .value.expect("plant");
+  for (const std::size_t at : {0u, 3u}) {
+    auto client = make_client(Protocol::kCA);
+    const std::string unit = "files/f" + std::to_string(at);
+    client.write(file_tokens, unit, to_bytes("honest")).value.expect("w");
+    UnitMetadata forged;
+    forged.unit = unit;
+    forged.version = 999;
+    forged.protocol = Protocol::kCA;
+    forged.data_size = 1;
+    forged.share_digests.assign(4, crypto::sha256(to_bytes("x")));
+    forged.sign(attacker);
+    clouds[at]
+        ->put(file_tokens[at], DepSkyClient::metadata_key(unit), forged.serialize())
+        .value.expect("plant");
+    for (int read = 0; read < 3; ++read) {
+      const auto before = TrustCounts::now();
+      auto r = client.read(file_tokens, unit);
+      ASSERT_TRUE(r.value.ok()) << "forged at cloud " << at << ", read " << read;
+      EXPECT_EQ(to_string(*r.value), "honest");
+      // The forged copy is checked (and rejected) every time; the honest
+      // copy is checked on the first read only.
+      EXPECT_EQ(TrustCounts::now().since(before).verified, read == 0 ? 2u : 1u)
+          << "forged at cloud " << at << ", read " << read;
+    }
+  }
+}
+
+TEST_F(DepSkyFixture, HonestRoundVerifiesOneCopy) {
+  auto client = make_client(Protocol::kCA);
+  client.write(file_tokens, "files/f", to_bytes("checked once")).value.expect("w");
+  // The four clouds serve identical bytes: the first copy is verified, the
+  // other three reuse its verdict.
+  auto before = TrustCounts::now();
   auto r = client.read(file_tokens, "files/f");
   ASSERT_TRUE(r.value.ok());
-  EXPECT_EQ(to_string(*r.value), "honest");
+  EXPECT_EQ(to_string(*r.value), "checked once");
+  auto used = TrustCounts::now().since(before);
+  EXPECT_EQ(used.verified, 1u);
+  EXPECT_EQ(used.reused, 3u);
+  // Unchanged head: every copy equals the bytes this client accepted.
+  before = TrustCounts::now();
+  r = client.read(file_tokens, "files/f");
+  ASSERT_TRUE(r.value.ok());
+  EXPECT_EQ(to_string(*r.value), "checked once");
+  used = TrustCounts::now().since(before);
+  EXPECT_EQ(used.verified, 0u);
+  EXPECT_EQ(used.reused, 4u);
+}
+
+TEST_F(DepSkyFixture, TamperedCopyOfAcceptedHeadIsRejected) {
+  auto client = make_client(Protocol::kCA);
+  const std::string unit = "files/f";
+  const std::string key = DepSkyClient::metadata_key(unit);
+  client.write(file_tokens, unit, to_bytes("honest v1")).value.expect("w");
+  ASSERT_TRUE(client.read(file_tokens, unit).value.ok());  // accepts v1's bytes
+  const Bytes honest = *clouds[0]->get(file_tokens[0], key).value;
+  const UnitMetadata v1 = *UnitMetadata::deserialize(honest);
+
+  // v1 with one change each, all under v1's signature.
+  std::vector<UnitMetadata> tampered(3, v1);
+  tampered[0].data_size ^= 1;
+  tampered[1].signature.back() ^= 1;
+  tampered[2].version = 2;
+  for (const std::size_t at : {0u, 3u}) {
+    for (std::size_t t = 0; t < tampered.size(); ++t) {
+      clouds[at]->put(file_tokens[at], key, tampered[t].serialize()).value.expect("tamper");
+      for (int read = 0; read < 2; ++read) {
+        const auto before = TrustCounts::now();
+        auto r = client.read(file_tokens, unit);
+        ASSERT_TRUE(r.value.ok()) << "cloud " << at << ", tamper " << t;
+        EXPECT_EQ(to_string(*r.value), "honest v1") << "cloud " << at << ", tamper " << t;
+        EXPECT_EQ(TrustCounts::now().since(before).verified, 1u)
+            << "cloud " << at << ", tamper " << t << ", read " << read;
+      }
+      EXPECT_EQ(*client.head_version(file_tokens, unit).value, 1u);
+    }
+    clouds[at]->put(file_tokens[at], key, honest).value.expect("restore");
+  }
+}
+
+TEST_F(DepSkyFixture, RememberedHeadStillFacesTheWitness) {
+  auto client = make_client(Protocol::kCA);
+  const std::string unit = "files/f";
+  client.write(file_tokens, unit, to_bytes("v1")).value.expect("w1");
+  ASSERT_TRUE(client.read(file_tokens, unit).value.ok());  // accepts v1's bytes
+  clouds[0]->faults().set_adversarial(sim::AdversarialMode::kRollback);
+  clock->advance_us(1'000);
+  client.write(file_tokens, unit, to_bytes("v2")).value.expect("w2");
+
+  const auto before = TrustCounts::now();
+  auto r = client.read(file_tokens, unit);
+  ASSERT_TRUE(r.value.ok()) << r.value.error().message;
+  EXPECT_EQ(to_string(*r.value), "v2");
+  // Cloud 0's frozen v1 copy equals the accepted head, so it is authentic
+  // without a check; cloud 1's v2 is verified and clouds 2-3 match it.
+  const auto used = TrustCounts::now().since(before);
+  EXPECT_EQ(used.verified, 1u);
+  EXPECT_EQ(used.reused, 3u);
+  // Authentic is not fresh: cloud 0 acked v2 in this session.
+  EXPECT_EQ(client.cloud_health(0).misbehavior_count(MisbehaviorKind::kRollback), 1u);
+  EXPECT_TRUE(client.cloud_health(0).quarantined());
 }
 
 TEST_F(DepSkyFixture, RemoveDeletesUnit) {

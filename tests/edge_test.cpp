@@ -1,15 +1,25 @@
 // Edge-case sweeps that round out the per-module suites: latency-composition
 // helpers, cold-tier lifecycle, coordination durability under churn, keystore
-// threshold variants, and crypto known-answer vectors beyond the basics.
+// threshold variants, crypto known-answer vectors beyond the basics, and
+// truncated encodings served by untrusted clouds and replicas.
 #include <gtest/gtest.h>
 
 #include "cloud/provider.h"
+#include "common/compress.h"
 #include "common/hex.h"
+#include "coord/replica.h"
 #include "coord/service.h"
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
+#include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
+#include "depsky/metadata.h"
+#include "diff/binary_diff.h"
 #include "rockfs/deployment.h"
+#include "rockfs/keystore.h"
+#include "rockfs/logservice.h"
+#include "secretshare/pvss.h"
+#include "secretshare/shamir.h"
 #include "sim/timed.h"
 
 namespace rockfs {
@@ -144,6 +154,125 @@ TEST(CryptoVectors, Aes256CtrMultiBlockSp80038a) {
   EXPECT_EQ(hex_encode(crypto::aes256_ctr(key, iv, pt)),
             "601ec313775789a5b7a7f504bbf3d228"
             "f443e3ca4d62b59aca84e990cacaf5c5");
+}
+
+// ---------------------------------------------------- truncated encodings
+//
+// Every decoder below parses bytes a cloud or a coordination replica served,
+// before any signature or digest check, and a Byzantine server can always
+// cut an object short. No prefix may read past its buffer (each prefix gets
+// its own exactly-sized heap copy, so the sanitizer builds see an over-read)
+// or let an exception escape. Self-delimiting encodings must also reject
+// every strict prefix.
+
+// Calls check(prefix, len) for every strict prefix of `full`.
+template <typename Check>
+void for_each_strict_prefix(const Bytes& full, Check check) {
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    const Bytes prefix(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(len));
+    check(BytesView(prefix), len);
+  }
+}
+
+template <typename Decode>
+void expect_prefixes_rejected(const char* what, const Bytes& full, Decode decode) {
+  ASSERT_TRUE(decode(BytesView(full)).ok()) << what << ": the full encoding must decode";
+  for_each_strict_prefix(full, [&](BytesView prefix, std::size_t len) {
+    EXPECT_FALSE(decode(prefix).ok()) << what << " accepted a " << len << "-byte prefix";
+  });
+}
+
+template <typename Decode>
+void expect_prefixes_survive(const char* what, const Bytes& full, Decode decode) {
+  for_each_strict_prefix(full, [&](BytesView prefix, std::size_t len) {
+    EXPECT_NO_THROW((void)decode(prefix)) << what << ", " << len << "-byte prefix";
+  });
+}
+
+TEST(TruncatedEncodings, SelfDelimitingPrefixesAreErrors) {
+  crypto::Drbg drbg(to_bytes("truncation"));
+  const crypto::KeyPair writer = crypto::generate_keypair(drbg);
+
+  depsky::UnitMetadata meta;
+  meta.unit = "files/x";
+  meta.version = 3;
+  meta.data_size = 100;
+  meta.membership_epoch = 1;
+  meta.share_digests.assign(4, crypto::sha256(to_bytes("share")));
+  meta.sign(writer);
+  expect_prefixes_rejected("UnitMetadata", meta.serialize(), depsky::UnitMetadata::deserialize);
+
+  auto clock = std::make_shared<sim::SimClock>();
+  cloud::CloudProvider provider{"s3", clock, sim::LinkProfile::s3_like("s3"), 11};
+  const cloud::AccessToken token =
+      provider.issue_token("alice", "fs", cloud::TokenScope::kLogAppend);
+  expect_prefixes_rejected("AccessToken", token.serialize(), cloud::AccessToken::deserialize);
+
+  std::vector<core::ShareHolder> holders;
+  std::vector<crypto::Point> holder_pubs;
+  for (const char* name : {"device", "coord", "usb"}) {
+    holders.push_back({name, crypto::generate_keypair(drbg)});
+    holder_pubs.push_back(holders.back().keys.public_key);
+  }
+  const secretshare::PvssDeal deal = secretshare::pvss_share(
+      crypto::scalar_from_bytes(drbg.generate(32)), holder_pubs, 2, drbg);
+  expect_prefixes_rejected("PvssDeal", deal.serialize(), secretshare::PvssDeal::deserialize);
+  const auto decrypted = secretshare::pvss_decrypt_share(deal, 1, holders[0].keys, drbg);
+  ASSERT_TRUE(decrypted.ok());
+  expect_prefixes_rejected("PvssDecryptedShare", decrypted->serialize(),
+                           secretshare::PvssDecryptedShare::deserialize);
+
+  core::Keystore keystore;
+  keystore.user_id = "alice";
+  keystore.user_private_key = drbg.generate(32);
+  keystore.file_tokens = {provider.issue_token("alice", "fs", cloud::TokenScope::kFiles)};
+  keystore.log_tokens = {token};
+  keystore.session_key = drbg.generate(32);
+  keystore.session_key_expiry_us = 7;
+  keystore.fssagg_key_a = drbg.generate(32);
+  keystore.fssagg_key_b = drbg.generate(32);
+  keystore.fssagg_base_count = 5;
+  expect_prefixes_rejected("Keystore", keystore.serialize(), core::Keystore::deserialize);
+  expect_prefixes_rejected("SealedKeystore",
+                           core::seal_keystore(keystore, holders, 2, drbg).serialize(),
+                           core::SealedKeystore::deserialize);
+
+  coord::Replica replica("r0");
+  replica.out({"inode", "/a", "3"});
+  replica.out({"lease", "/a", "alice", ""});
+  expect_prefixes_rejected("Replica", replica.checkpoint(), [](BytesView b) {
+    return coord::Replica::restore("r1", b);
+  });
+
+  Bytes text;
+  for (int i = 0; i < 40; ++i) append(text, to_bytes("ransomware-resilient "));
+  expect_prefixes_rejected("lz", lz_compress(text),
+                           [](BytesView b) { return lz_decompress(b); });
+}
+
+TEST(TruncatedEncodings, OpenEndedPrefixesNeverCrash) {
+  crypto::Drbg drbg(to_bytes("truncation"));
+  const auto shares = secretshare::shamir_share(drbg.generate(32), 2, 4, drbg);
+  expect_prefixes_survive("ShamirShare", shares[0].serialize(),
+                          secretshare::ShamirShare::deserialize);
+
+  // A delta with both COPY and (compressible) INSERT opcodes.
+  const Bytes old_data = drbg.generate(4096);
+  Bytes new_data = old_data;
+  new_data[100] ^= 0xff;
+  for (int i = 0; i < 20; ++i) append(new_data, to_bytes("appended line "));
+  const diff::LogDelta delta = diff::make_log_delta(old_data, new_data);
+  ASSERT_FALSE(delta.whole_file);
+  expect_prefixes_survive("LogDelta", delta.serialize(), diff::LogDelta::deserialize);
+  expect_prefixes_survive("patch", delta.payload,
+                          [&](BytesView b) { return diff::patch(old_data, b); });
+
+  for (const Byte codec : {Byte{0}, Byte{1}}) {
+    const Bytes payload = core::wrap_log_payload(delta.serialize(), codec == 1);
+    ASSERT_EQ(payload.front(), codec);
+    expect_prefixes_survive(codec == 1 ? "lz log payload" : "raw log payload", payload,
+                            core::unwrap_log_payload);
+  }
 }
 
 // ------------------------------------------------ deployment odds and ends
