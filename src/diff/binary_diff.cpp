@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <unordered_map>
+#include <cstring>
 #include <vector>
 
 namespace rockfs::diff {
@@ -15,35 +15,108 @@ namespace {
 constexpr Byte kOpCopy = 0x01;
 constexpr Byte kOpInsert = 0x02;
 
-// Adler-32-style weak rolling checksum over a fixed-length window. Sums stay
-// reduced below kMod by conditional subtraction; the byte leaving the window
-// takes (len·out) mod kMod from a table, so no step divides.
-struct RollingHash {
-  static constexpr std::uint32_t kMod = 65521;
+constexpr std::size_t kNone = SIZE_MAX;
 
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-  std::array<std::uint32_t, 256> leave{};  // (len·x) mod kMod
+// Polynomial hash of a bs-byte window, H(w) = Σ w_j·B^(bs−1−j) mod 2^64, with
+// an odd B. Equal windows hash equal and a byte comparison decides every
+// match, so the hash is only a filter: it cannot change an output byte.
+class WindowHash {
+ public:
+  static constexpr std::uint64_t kB = 0x100000001b3;  // the FNV-64 prime
 
-  explicit RollingHash(std::size_t len) {
-    const auto len_mod = static_cast<std::uint32_t>(len % kMod);
-    for (std::uint32_t x = 0; x < 256; ++x) leave[x] = len_mod * x % kMod;
+  explicit WindowHash(std::size_t bs) : bs_(bs) {
+    std::uint64_t b_bs = 1;  // B^bs by squaring
+    for (std::uint64_t sq = kB, e = bs; e != 0; sq *= sq, e >>= 1) {
+      if (e & 1) b_bs *= sq;
+    }
+    for (std::size_t x = 1; x < 256; ++x) leave_[x] = leave_[x - 1] + b_bs;
   }
 
-  static std::uint32_t reduce(std::uint32_t v) { return v >= kMod ? v - kMod : v; }
+  // Horner's rule, four bytes per step.
+  std::uint64_t of(const Byte* w) const {
+    constexpr std::uint64_t kB2 = kB * kB, kB3 = kB2 * kB, kB4 = kB3 * kB;
+    std::uint64_t h = 0;
+    std::size_t j = 0;
+    for (; j + 4 <= bs_; j += 4) {
+      h = h * kB4 + (w[j] * kB3 + w[j + 1] * kB2 + w[j + 2] * kB + w[j + 3]);
+    }
+    for (; j < bs_; ++j) h = h * kB + w[j];
+    return h;
+  }
 
-  void init(BytesView window) {
-    a = b = 0;
-    for (const Byte x : window) {
-      a = reduce(a + x);
-      b = reduce(b + a);
+  // Slides the window one byte: `out` leaves at the front, `in` enters at the
+  // back. in − out·B^bs stays off the h·B dependency chain: the empty asm
+  // stops the compiler from re-associating it into two adds on that chain.
+  std::uint64_t roll(std::uint64_t h, Byte out, Byte in) const {
+    std::uint64_t delta = in - leave_[out];
+    asm("" : "+r"(delta));
+    return h * kB + delta;
+  }
+
+ private:
+  std::size_t bs_;
+  std::array<std::uint64_t, 256> leave_{};  // x·B^bs
+};
+
+// The old file's blocks at multiples of bs, as one vector of (hash, offset)
+// sorted by hash ascending, then offset descending. A lookup walks the run of
+// equal hashes in that order and takes the first byte-equal block, which is
+// the highest-offset one.
+class BlockIndex {
+ public:
+  BlockIndex(BytesView old_data, std::size_t bs, const WindowHash& hash)
+      : old_(old_data.data()), bs_(bs), unique_(old_data.size() / bs, false) {
+    entries_.reserve(unique_.size());
+    for (std::size_t off = 0; off + bs <= old_data.size(); off += bs) {
+      const std::uint64_t h = hash.of(old_ + off);
+      entries_.push_back({h, off});
+      present_[h >> 54] |= std::uint64_t{1} << ((h >> 48) & 63);
+    }
+    std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
+      return a.hash != b.hash ? a.hash < b.hash : a.offset > b.offset;
+    });
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      const bool same_prev = i > 0 && entries_[i - 1].hash == entries_[i].hash;
+      const bool same_next =
+          i + 1 < entries_.size() && entries_[i + 1].hash == entries_[i].hash;
+      unique_[entries_[i].offset / bs] = !same_prev && !same_next;
     }
   }
-  void roll(Byte out, Byte in) {
-    a = reduce(reduce(a + in) + kMod - out);
-    b = reduce(reduce(b + kMod - leave[out]) + a);
+
+  // A 64 Kbit pre-test on the hash's top 16 bits (its low bits are weak).
+  bool may_hold(std::uint64_t h) const {
+    return (present_[h >> 54] >> ((h >> 48) & 63)) & 1;
   }
-  std::uint32_t digest() const { return (b << 16) | a; }
+
+  // Offset of the highest old block byte-equal to `window`, or kNone.
+  std::size_t find(std::uint64_t h, const Byte* window) const {
+    if (!may_hold(h)) return kNone;
+    auto it = std::lower_bound(entries_.begin(), entries_.end(), h,
+                               [](const Entry& e, std::uint64_t v) { return e.hash < v; });
+    for (; it != entries_.end() && it->hash == h; ++it) {
+      if (std::memcmp(window, old_ + it->offset, bs_) == 0) return it->offset;
+    }
+    return kNone;
+  }
+
+  // The old block at `off` when `window` equals it and no other old block
+  // shares its hash, so that no lookup could pick another; else kNone.
+  std::size_t sole_match(std::size_t off, const Byte* window) const {
+    const std::size_t block = off / bs_;
+    if (block >= unique_.size() || !unique_[block]) return kNone;
+    return std::memcmp(window, old_ + off, bs_) == 0 ? off : kNone;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t hash;
+    std::size_t offset;
+  };
+  const Byte* old_;
+  std::size_t bs_;
+  std::vector<Entry> entries_;
+  std::vector<bool> unique_;  // per block: no other block has its hash
+  std::array<std::uint64_t, 1024> present_{};
 };
 
 std::size_t pick_block_size(std::size_t old_size) {
@@ -73,91 +146,51 @@ Bytes encode(BytesView old_data, BytesView new_data, std::size_t block_size) {
     return out;
   }
   const std::size_t bs = block_size != 0 ? block_size : pick_block_size(old_data.size());
+  const WindowHash hash(bs);
+  const BlockIndex index(old_data, bs, hash);
 
-  // Index old blocks by weak hash -> offset; a byte comparison decides each
-  // candidate. The bitmap over the digests' low 16 bits skips the hash-table
-  // lookup for most windows that match nothing.
-  std::unordered_multimap<std::uint32_t, std::size_t> index;
-  index.reserve(old_data.size() / bs + 1);
-  std::vector<std::uint64_t> present(65536 / 64, 0);
-  RollingHash rh(bs);
-  for (std::size_t off = 0; off + bs <= old_data.size(); off += bs) {
-    rh.init(old_data.subspan(off, bs));
-    const std::uint32_t d = rh.digest();
-    index.emplace(d, off);
-    present[(d & 0xFFFF) >> 6] |= std::uint64_t{1} << (d & 63);
-  }
-
-  Bytes pending_literal;
+  const Byte* const nd = new_data.data();
+  const std::size_t n = new_data.size();
   std::size_t pos = 0;
-  // Coalesced COPY state.
+  std::size_t literal = 0;  // the pending literal is new_data[literal, pos)
   bool copy_open = false;
   std::uint64_t copy_off = 0, copy_len = 0;
 
-  auto flush_copy = [&] {
-    if (copy_open) {
-      emit_copy(out, copy_off, copy_len);
-      copy_open = false;
-    }
-  };
-  auto flush_literal = [&] {
-    flush_copy();
-    emit_insert(out, pending_literal);
-    pending_literal.clear();
-  };
-
-  bool rh_valid = false;
-  while (pos < new_data.size()) {
-    if (pos + bs > new_data.size()) {
-      // Tail shorter than a block: emit as literal.
-      flush_copy();
-      append(pending_literal, new_data.subspan(pos));
-      pos = new_data.size();
-      break;
-    }
-    if (!rh_valid) {
-      rh.init(new_data.subspan(pos, bs));
-      rh_valid = true;
-    }
-    // Look up the window; the first candidate whose bytes match wins.
-    std::size_t match_off = SIZE_MAX;
-    const std::uint32_t d = rh.digest();
-    if ((present[(d & 0xFFFF) >> 6] >> (d & 63)) & 1) {
-      auto [it, end] = index.equal_range(d);
-      for (; it != end; ++it) {
-        if (std::equal(new_data.begin() + static_cast<std::ptrdiff_t>(pos),
-                       new_data.begin() + static_cast<std::ptrdiff_t>(pos + bs),
-                       old_data.begin() + static_cast<std::ptrdiff_t>(it->second))) {
-          match_off = it->second;
-          break;
+  while (pos + bs <= n) {
+    // Inside a matched run, the block after the open COPY is the usual match:
+    // one memcmp, no hashing.
+    std::size_t match = copy_open ? index.sole_match(copy_off + copy_len, nd + pos) : kNone;
+    if (match == kNone) {
+      std::uint64_t h = hash.of(nd + pos);
+      match = index.find(h, nd + pos);
+      if (match == kNone) {
+        // Literal run: slide one byte at a time until a window matches or
+        // fewer than bs bytes remain (the tail joins the literal).
+        if (copy_open) {
+          emit_copy(out, copy_off, copy_len);
+          copy_open = false;
         }
+        while (++pos + bs <= n) {
+          h = hash.roll(h, nd[pos - 1], nd[pos + bs - 1]);
+          if (index.may_hold(h) && (match = index.find(h, nd + pos)) != kNone) break;
+        }
+        if (match == kNone) break;
+        emit_insert(out, new_data.subspan(literal, pos - literal));
       }
     }
-    if (match_off != SIZE_MAX) {
-      if (!pending_literal.empty()) flush_literal();
-      // Extend an open COPY when contiguous.
-      if (copy_open && copy_off + copy_len == match_off) {
-        copy_len += bs;
-      } else {
-        flush_copy();
-        copy_open = true;
-        copy_off = match_off;
-        copy_len = bs;
-      }
-      pos += bs;
-      rh_valid = false;
+    if (copy_open && copy_off + copy_len == match) {
+      copy_len += bs;
     } else {
-      flush_copy();
-      pending_literal.push_back(new_data[pos]);
-      if (pos + bs < new_data.size()) {
-        rh.roll(new_data[pos], new_data[pos + bs]);
-      } else {
-        rh_valid = false;
-      }
-      ++pos;
+      if (copy_open) emit_copy(out, copy_off, copy_len);
+      copy_open = true;
+      copy_off = match;
+      copy_len = bs;
     }
+    pos += bs;
+    literal = pos;
   }
-  flush_literal();
+  if (copy_open) emit_copy(out, copy_off, copy_len);
+  emit_insert(out, new_data.subspan(literal));
   return out;
 }
 

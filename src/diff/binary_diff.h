@@ -3,6 +3,19 @@
 // emits a COPY/INSERT opcode stream; `patch` re-applies it. RockFS stores one
 // delta per close() as the log-entry data ld_fu (paper §3.2), falling back to
 // the whole file when the delta would be larger (make_log_delta).
+//
+// Stored deltas are pinned byte for byte (Diff.EncodeOutputIsPinned), so the
+// output of encode is a contract, with bs the block size:
+//   - the scan is greedy and runs left to right over the new file;
+//   - the bs-byte window at `pos` matches when its bytes equal an old block
+//     that starts at a multiple of bs (only whole blocks count);
+//   - among byte-equal old blocks, the highest offset wins;
+//   - a match extends the open COPY when it starts where that COPY ends, and
+//     otherwise starts a new COPY; either way the scan moves on by bs;
+//   - an unmatched window adds one literal byte and slides by one;
+//   - a tail shorter than bs is literal, and each literal run is one INSERT.
+// The rolling hash only filters candidates: a byte comparison decides every
+// match, so the hash cannot change an output byte.
 #pragma once
 
 #include <cstdint>
