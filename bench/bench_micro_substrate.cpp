@@ -93,6 +93,34 @@ void BM_DiffAppend30(benchmark::State& state) {
 }
 BENCHMARK(BM_DiffAppend30)->Arg(1 << 20);
 
+// update-large's close: 30% of the file overwritten in place, from a third
+// on, with bytes drawn from the file's own bytes.
+void diff_overwrite30(benchmark::State& state, const Bytes& base) {
+  Rng rng(43);
+  Bytes updated = base;
+  const std::size_t span = base.size() * 3 / 10;
+  for (std::size_t i = 0; i < span; ++i) {
+    updated[base.size() / 3 + i] = base[rng.next_below(base.size())];
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(diff::encode(base, updated));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(base.size()));
+}
+
+void BM_DiffOverwrite30(benchmark::State& state) {
+  diff_overwrite30(state, make_data(static_cast<std::size_t>(state.range(0))));
+}
+BENCHMARK(BM_DiffOverwrite30)->Arg(512 << 10);
+
+// The same shape on 2-bit "ACGT" text: few distinct short windows.
+void BM_DiffOverwrite30LowEntropy(benchmark::State& state) {
+  Rng rng(44);
+  Bytes base(static_cast<std::size_t>(state.range(0)));
+  for (Byte& b : base) b = static_cast<Byte>("ACGT"[rng.next_below(4)]);
+  diff_overwrite30(state, base);
+}
+BENCHMARK(BM_DiffOverwrite30LowEntropy)->Arg(512 << 10);
+
 void BM_Patch(benchmark::State& state) {
   const Bytes base = make_data(static_cast<std::size_t>(state.range(0)));
   Bytes updated = base;
