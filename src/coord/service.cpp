@@ -1,6 +1,7 @@
 #include "coord/service.h"
 
 #include <map>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -68,7 +69,10 @@ sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op
   obs::Span span = obs::tracer().span("coord.op");
   span.set_label(name);
   obs::metrics().counter(obs::metric_key("coord.ops", name)).add();
-  std::map<Bytes, std::vector<sim::SimClock::Micros>> votes;
+  // Votes are keyed by the answer's bytes as a std::string, which orders them
+  // the same unsigned, lexicographic way as Bytes. (GCC 12 at -O3 reports a
+  // false -Wstringop-overread inside vector<unsigned char>'s operator<=>.)
+  std::map<std::string, std::vector<sim::SimClock::Micros>> votes;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     // A replica in an outage (or hit by a transient fault) contributes no
     // vote this round; a tail-latency storm slows its reply instead.
@@ -79,14 +83,14 @@ sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op
     auto delay = nets_[i]->rpc_delay_us(128, answer.size() + 64);
     delay = static_cast<sim::SimClock::Micros>(static_cast<double>(delay) *
                                               actions.latency_factor);
-    votes[std::move(answer)].push_back(delay);
+    votes[to_string(answer)].push_back(delay);
   }
   for (auto& [answer, delays] : votes) {
     if (delays.size() >= quorum()) {
       const auto delay = sim::quorum_delay(delays, quorum());
       span.set_duration(static_cast<std::uint64_t>(delay));
       obs::metrics().histogram("coord.delay_us").record(static_cast<std::uint64_t>(delay));
-      return {Bytes(answer), delay};
+      return {to_bytes(answer), delay};
     }
   }
   // No quorum: report when the slowest live replica answered.
