@@ -1,15 +1,18 @@
 // Unit tests for the observability layer (src/obs): metric key formatting,
 // counter thread-safety, histogram bucket-edge and percentile math, registry
 // reset semantics, and the sim-clock-aware span tracer (nesting, fanout
-// groups, exclusive-time reconciliation, ring-buffer wraparound).
+// groups, exclusive-time reconciliation, ring-buffer wraparound, and the
+// per-branch TaskTrace buffers a fan-out splices back).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/clock.h"
@@ -329,6 +332,179 @@ TEST(TracerTest, OutOfOrderFinishRetiresSuffixOnly) {
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_EQ(evs[0].name, "root");
   EXPECT_EQ(evs[1].parent, evs[0].id);
+}
+
+// -------------------------------------------------------------- TaskTrace
+
+// Two branch buffers under a fanout group, each with a branch span and a
+// nested span carrying every field. The buffers stay out of the ring until
+// splice, which renumbers them after the group and parents their roots to it.
+TEST(TaskTraceTest, SpliceRenumbersAndParentsBranchSpans) {
+  Tracer t;
+  auto clock = std::make_shared<sim::SimClock>();
+  t.bind_clock(clock);
+  clock->advance_us(100);
+  Span group = t.span("group", {.fanout = true});
+  std::vector<TaskTrace> tasks;
+  for (int b = 0; b < 2; ++b) tasks.push_back(t.make_task());
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    TaskBinding bind(&tasks[b]);
+    clock->advance_us(10);
+    Span branch = t.span("branch");
+    branch.set_duration(40 + b);
+    branch.charge_child(15 + b);
+    branch.set_retries(1 + b);
+    branch.set_bytes(1000 + b);
+    branch.set_label("cloud-" + std::to_string(b));
+    branch.set_outcome(b == 0 ? ErrorCode::kOk : ErrorCode::kTimeout);
+    Span nested = t.span("nested");
+    nested.set_duration(15 + b);
+    nested.charge_child(5 + b);
+    nested.set_retries(3 + b);
+    nested.set_bytes(500 + b);
+    nested.set_label("put-" + std::to_string(b));
+    nested.set_outcome(b == 0 ? ErrorCode::kUnavailable : ErrorCode::kOk);
+  }
+  EXPECT_EQ(t.finished_count(), 0u);
+  EXPECT_TRUE(t.events().empty());
+  t.splice(tasks);
+  group.set_duration(45);
+  group.finish();
+  { Span after = t.span("after"); }
+
+  const auto evs = t.events();
+  ASSERT_EQ(evs.size(), 6u);
+  std::set<std::uint64_t> ids;
+  for (const auto& e : evs) EXPECT_TRUE(ids.insert(e.id).second) << "duplicate id " << e.id;
+  const TraceEvent& g = evs[0];
+  EXPECT_EQ(g.name, "group");
+  EXPECT_EQ(evs.back().name, "after");
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    SCOPED_TRACE("branch " + std::to_string(b));
+    const TraceEvent& branch = evs[1 + 2 * b];
+    const TraceEvent& nested = evs[2 + 2 * b];
+    EXPECT_EQ(branch.name, "branch");
+    EXPECT_EQ(branch.parent, g.id);
+    EXPECT_EQ(branch.kind, SpanKind::kParallel);
+    EXPECT_EQ(branch.start_us, 110u + 10 * b);
+    EXPECT_EQ(branch.duration_us, 40u + b);
+    EXPECT_EQ(branch.charged_us, 15u + b);
+    EXPECT_EQ(branch.retries, 1u + b);
+    EXPECT_EQ(branch.bytes, 1000u + b);
+    EXPECT_EQ(branch.label, "cloud-" + std::to_string(b));
+    EXPECT_EQ(branch.outcome, b == 0 ? ErrorCode::kOk : ErrorCode::kTimeout);
+    EXPECT_EQ(nested.name, "nested");
+    EXPECT_EQ(nested.parent, branch.id);
+    EXPECT_EQ(nested.kind, SpanKind::kSerial);
+    EXPECT_EQ(nested.start_us, 110u + 10 * b);
+    EXPECT_EQ(nested.duration_us, 15u + b);
+    EXPECT_EQ(nested.charged_us, 5u + b);
+    EXPECT_EQ(nested.retries, 3u + b);
+    EXPECT_EQ(nested.bytes, 500u + b);
+    EXPECT_EQ(nested.label, "put-" + std::to_string(b));
+    EXPECT_EQ(nested.outcome, b == 0 ? ErrorCode::kUnavailable : ErrorCode::kOk);
+  }
+}
+
+TEST(TaskTraceTest, DisabledTracerGivesInertBufferSpans) {
+  Tracer t;
+  t.set_enabled(false);
+  std::vector<TaskTrace> tasks;
+  tasks.push_back(t.make_task());
+  EXPECT_FALSE(tasks[0].enabled());
+  {
+    TaskBinding bind(&tasks[0]);
+    Span s = t.span("ignored");
+    EXPECT_FALSE(s.active());
+    s.set_duration(99);  // must not crash
+    s.charge_child(1);
+    s.set_label("x");
+    Span direct = tasks[0].span("direct");
+    EXPECT_FALSE(direct.active());
+  }
+  t.set_enabled(true);
+  t.splice(tasks);
+  EXPECT_EQ(t.finished_count(), 0u);
+  { Span live = t.span("live"); }
+  const auto evs = t.events();
+  ASSERT_EQ(evs.size(), 1u);
+  EXPECT_EQ(evs[0].id, 1u);  // the inert buffer consumed no ids
+}
+
+TEST(TaskTraceTest, OutOfOrderFinishInsideBufferRetiresSuffixOnly) {
+  Tracer t;
+  std::vector<TaskTrace> tasks;
+  tasks.push_back(t.make_task());
+  tasks.push_back(t.make_task());
+  {
+    TaskBinding bind(&tasks[0]);
+    Span root = t.span("root");
+    Span child = t.span("child");
+    root.finish();  // out of order: root finishes before child
+    Span late = t.span("late");  // the open child is still the innermost span
+    late.finish();
+    child.set_duration(7);  // child is still open and editable
+    child.finish();         // retires child, then the waiting root
+  }
+  Span open_child;
+  {
+    TaskBinding bind(&tasks[1]);
+    Span root = t.span("root2");
+    open_child = t.span("child2");
+    root.finish();  // waits for child2, which is still open at the splice
+  }
+  t.splice(tasks);
+  EXPECT_EQ(t.finished_count(), 3u);  // root2 never retired
+  const auto evs = t.events();
+  ASSERT_EQ(evs.size(), 3u);
+  EXPECT_EQ(evs[0].name, "root");
+  EXPECT_EQ(evs[0].parent, 0u);
+  EXPECT_EQ(evs[1].name, "child");
+  EXPECT_EQ(evs[1].parent, evs[0].id);
+  EXPECT_EQ(evs[1].duration_us, 7u);
+  EXPECT_EQ(evs[2].name, "late");
+  EXPECT_EQ(evs[2].parent, evs[1].id);
+}
+
+// A fan-out traced through parallel_for_index dumps the same bytes whether
+// its branches ran on a pool or inline: splice order is the branch index.
+TEST(TaskTraceTest, PooledBranchesDumpLikeInlineOnes) {
+  const auto run = [](common::Executor* exec) {
+    Tracer t;
+    auto clock = std::make_shared<sim::SimClock>();
+    t.bind_clock(clock);
+    clock->advance_us(50);
+    {
+      Span group = t.span("group", {.fanout = true});
+      std::vector<TaskTrace> tasks;
+      for (int b = 0; b < 8; ++b) tasks.push_back(t.make_task());
+      common::parallel_for_index(exec, tasks.size(), [&](std::size_t b) {
+        TaskBinding bind(&tasks[b]);
+        Span branch = t.span("branch");
+        branch.set_label("cloud-" + std::to_string(b));
+        branch.set_duration(100 + b);
+        branch.charge_child(10 + b);
+        {
+          Span inner = t.span("inner");
+          inner.set_duration(10 + b);
+          inner.set_bytes(64 * b);
+          inner.set_retries(static_cast<std::uint32_t>(b % 3));
+        }
+        if (b % 2 == 1) {
+          Span second = t.span("inner");
+          second.set_outcome(ErrorCode::kTimeout);
+        }
+      });
+      t.splice(tasks);
+      group.set_duration(120);
+    }
+    return t.to_json();
+  };
+  common::ThreadPool pool(4);
+  const std::string pooled = run(&pool);
+  const std::string inlined = run(nullptr);
+  EXPECT_EQ(pooled, inlined);
+  EXPECT_NE(pooled.find("\"finished\":21"), std::string::npos);
 }
 
 // ------------------------------------------------------ reconcile_exclusive

@@ -2,10 +2,12 @@
 // registry + span tracer) is driven purely by simulated state, so replaying
 // the same seeded workload must produce byte-identical JSON dumps, while a
 // different seed must not. Also checks the exclusive-time reconciliation
-// contract on a real close() measured through the full stack.
+// contract on a real close() measured through the full stack, and on every
+// DepSky operation, whose quorum branches are spliced from per-branch buffers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 
 #include "common/rng.h"
@@ -22,9 +24,9 @@ struct TraceDump {
 };
 
 // Runs a fixed workload — two files, chaos on three clouds, updates, reads,
-// one recovery audit — against a fresh deployment and returns the global
-// observability dumps. Resets the global registry/tracer first so dumps
-// cover exactly this run.
+// one cold read, one recovery audit — against a fresh deployment and returns
+// the global observability dumps. Resets the global registry/tracer first so
+// dumps cover exactly this run.
 TraceDump run_workload(std::uint64_t seed) {
   obs::metrics().reset();
   obs::tracer().reset();
@@ -52,6 +54,10 @@ TraceDump run_workload(std::uint64_t seed) {
     agent.read_file("/b.dat").expect("read");
   }
   agent.drain_background();
+  // The reads above all hit the client cache; a cold re-read takes the
+  // DepSky read path (metadata and share fan-outs).
+  agent.drop_cache();
+  agent.read_file("/a.dat").expect("cold read");
 
   auto recovery = dep.make_recovery_service("alice");
   recovery.audit_log().expect("audit");
@@ -77,7 +83,7 @@ TEST(TraceReplay, DifferentSeedsDiverge) {
 TEST(TraceReplay, DumpContainsTheExpectedSpanVocabulary) {
   const TraceDump dump = run_workload(2018);
   for (const char* name :
-       {"\"scfs.close\"", "\"scfs.upload_pipeline\"", "\"depsky.write\"",
+       {"\"scfs.close\"", "\"scfs.upload_pipeline\"", "\"depsky.write\"", "\"depsky.read\"",
         "\"depsky.put_quorum\"", "\"cloud.put\"", "\"log.append\"", "\"coord.op\"",
         "\"recovery.audit\""}) {
     EXPECT_NE(dump.trace_json.find(name), std::string::npos) << name;
@@ -87,6 +93,31 @@ TEST(TraceReplay, DumpContainsTheExpectedSpanVocabulary) {
         "\"log.append.count\"", "\"recovery.audits\""}) {
     EXPECT_NE(dump.metrics_json.find(key), std::string::npos) << key;
   }
+}
+
+// Each DepSky write and read fans its per-cloud branches out as one quorum
+// round whose branch spans are traced into TaskTrace buffers and spliced back.
+// A successful operation reconciles with its own duration only when the
+// spliced branch roots are parallel children of the round and every id is
+// unique (the scfs.close check above them cannot see this: the upload
+// pipeline is itself a fan-out, so reconciliation never descends to DepSky).
+TEST(TraceReplay, DepSkyOpsReconcileWithTheirOwnDuration) {
+  run_workload(2018);
+  ASSERT_EQ(obs::tracer().dropped_count(), 0u);
+  const auto events = obs::tracer().events();
+  std::set<std::uint64_t> ids;
+  for (const auto& e : events) EXPECT_TRUE(ids.insert(e.id).second) << "duplicate id " << e.id;
+  std::size_t writes = 0;
+  std::size_t reads = 0;
+  for (const auto& e : events) {
+    if (e.name != "depsky.write" && e.name != "depsky.read") continue;
+    if (e.outcome != ErrorCode::kOk) continue;
+    EXPECT_EQ(obs::reconcile_exclusive_us(events, e.id), e.duration_us)
+        << e.name << " id " << e.id;
+    ++(e.name == "depsky.write" ? writes : reads);
+  }
+  EXPECT_GT(writes, 0u);
+  EXPECT_GT(reads, 0u);
 }
 
 // The fig5 acceptance criterion, as a test: for a blocking-mode close, the
