@@ -1,8 +1,9 @@
-// Real execution for the simulated stack: a fixed thread pool with
-// submit()/Future, cooperative cancellation, and first-(n-f) quorum joins.
+// Real execution for the simulated stack: a fixed thread pool, cooperative
+// cancellation, and first-(n-f) quorum joins.
 //
-// The DepSky hot path fans per-cloud operations out on an Executor and joins
-// them with a QuorumJoin, in one of two disciplines:
+// Every fan-out launches its branches on an Executor and joins them with a
+// QuorumJoin (parallel_for_index is a barrier join over an index range), in
+// one of two disciplines:
 //
 //   barrier      — every launched branch completes before the join returns;
 //                  operation *completion time* is then composed from the
@@ -23,7 +24,6 @@
 // branches, which is what makes late acks unable to double-count.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -34,7 +34,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -75,60 +74,6 @@ class CancelToken {
   std::shared_ptr<State> state_;
 };
 
-/// Minimal single-producer future: the value set once by the task, read by
-/// the submitter. get() blocks and rethrows a task exception.
-template <typename T>
-class Future {
- public:
-  Future() : s_(std::make_shared<Shared>()) {}
-
-  bool ready() const {
-    std::lock_guard<std::mutex> lk(s_->mu);
-    return s_->ready;
-  }
-
-  void wait() const {
-    std::unique_lock<std::mutex> lk(s_->mu);
-    s_->cv.wait(lk, [this] { return s_->ready; });
-  }
-
-  /// Blocks until the task finished; rethrows its exception if it threw.
-  T get() const {
-    std::unique_lock<std::mutex> lk(s_->mu);
-    s_->cv.wait(lk, [this] { return s_->ready; });
-    if (s_->error) std::rethrow_exception(s_->error);
-    return *s_->value;
-  }
-
-  void set_value(T v) const {
-    {
-      std::lock_guard<std::mutex> lk(s_->mu);
-      s_->value.emplace(std::move(v));
-      s_->ready = true;
-    }
-    s_->cv.notify_all();
-  }
-
-  void set_exception(std::exception_ptr e) const {
-    {
-      std::lock_guard<std::mutex> lk(s_->mu);
-      s_->error = e;
-      s_->ready = true;
-    }
-    s_->cv.notify_all();
-  }
-
- private:
-  struct Shared {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::optional<T> value;
-    std::exception_ptr error;
-    bool ready = false;
-  };
-  std::shared_ptr<Shared> s_;
-};
-
 /// Where fan-out branches run. concurrency() == 1 means branches execute in
 /// the caller's thread, in launch order — the sequential baseline.
 class Executor {
@@ -136,24 +81,9 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Schedules `fn`. Implementations never throw out of the worker; `fn`
-  /// must not either (submit() wraps exceptions into the Future).
+  /// must not either (QuorumJoin::launch catches a branch's exception).
   virtual void execute(std::function<void()> fn) = 0;
   virtual std::size_t concurrency() const noexcept = 0;
-
-  /// Schedules `fn` and returns a Future for its result (exceptions travel
-  /// through Future::get).
-  template <typename F, typename R = std::invoke_result_t<F>>
-  Future<R> submit(F&& fn) {
-    Future<R> fut;
-    execute([fut, f = std::forward<F>(fn)]() mutable {
-      try {
-        fut.set_value(f());
-      } catch (...) {
-        fut.set_exception(std::current_exception());
-      }
-    });
-    return fut;
-  }
 };
 
 /// Runs everything inline in the calling thread (the deterministic serial
@@ -165,7 +95,7 @@ class InlineExecutor final : public Executor {
 };
 
 /// Fixed pool of worker threads over an unbounded FIFO queue. The destructor
-/// drains every queued task before joining, so submitted work never vanishes.
+/// drains every queued task before joining, so scheduled work never vanishes.
 class ThreadPool final : public Executor {
  public:
   explicit ThreadPool(std::size_t threads);
@@ -176,11 +106,6 @@ class ThreadPool final : public Executor {
 
   void execute(std::function<void()> fn) override;
   std::size_t concurrency() const noexcept override { return workers_.size(); }
-  /// Tasks started so far (tests / introspection). Counted before each task
-  /// runs, so it never lags a future the task has fulfilled.
-  std::uint64_t executed() const noexcept {
-    return executed_.load(std::memory_order_relaxed);
-  }
 
  private:
   void worker_loop();
@@ -189,15 +114,8 @@ class ThreadPool final : public Executor {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
-  std::atomic<std::uint64_t> executed_{0};
   std::vector<std::thread> workers_;
 };
-
-/// Runs fn(0..count-1) to completion, on the pool when one is given (barrier
-/// semantics; the first exception is rethrown after all branches finish) or
-/// inline otherwise. Branch results must be written to disjoint slots.
-void parallel_for_index(Executor* exec, std::size_t count,
-                        const std::function<void(std::size_t)>& fn);
 
 /// Join for `n` homogeneous branches with an optional first-quorum freeze.
 ///
@@ -301,5 +219,13 @@ class QuorumJoin {
   };
   std::shared_ptr<State> state_;
 };
+
+/// Runs fn(0..count-1) to completion as one barrier QuorumJoin: on `exec`
+/// when it has more than one thread and there is more than one branch,
+/// inline otherwise. Every branch runs; then the lowest-index branch's
+/// exception, if any, is rethrown. Branch results must be written to
+/// disjoint slots.
+void parallel_for_index(Executor* exec, std::size_t count,
+                        const std::function<void(std::size_t)>& fn);
 
 }  // namespace rockfs::common

@@ -35,104 +35,85 @@ Span& Span::operator=(Span&& other) noexcept {
 
 Span::~Span() { finish(); }
 
+template <typename Fn>
+void Span::edit(Fn&& fn) {
+  if (task_) {
+    if (auto* open = task_->stack_.find(id_)) fn(open->event);
+  } else if (tracer_) {
+    std::lock_guard<std::mutex> lk(tracer_->mu_);
+    if (auto* open = tracer_->stack_.find(id_)) fn(open->event);
+  }
+}
+
 void Span::set_duration(std::uint64_t us) {
-  if (task_) task_->set_span_duration(id_, us);
-  else if (tracer_) tracer_->set_span_duration(id_, us);
+  edit([us](TraceEvent& e) { e.duration_us = us; });
 }
 
 void Span::charge_child(std::uint64_t us) {
-  if (task_) task_->charge_span(id_, us);
-  else if (tracer_) tracer_->charge_span(id_, us);
+  edit([us](TraceEvent& e) { e.charged_us += us; });
 }
 
 void Span::set_outcome(ErrorCode code) {
-  if (task_) task_->set_span_outcome(id_, code);
-  else if (tracer_) tracer_->set_span_outcome(id_, code);
+  edit([code](TraceEvent& e) { e.outcome = code; });
 }
 
 void Span::set_retries(std::uint32_t n) {
-  if (task_) task_->set_span_retries(id_, n);
-  else if (tracer_) tracer_->set_span_retries(id_, n);
+  edit([n](TraceEvent& e) { e.retries = n; });
 }
 
 void Span::set_bytes(std::uint64_t n) {
-  if (task_) task_->set_span_bytes(id_, n);
-  else if (tracer_) tracer_->set_span_bytes(id_, n);
+  edit([n](TraceEvent& e) { e.bytes = n; });
 }
 
 void Span::set_label(std::string label) {
-  if (task_) task_->set_span_label(id_, std::move(label));
-  else if (tracer_) tracer_->set_span_label(id_, std::move(label));
+  edit([&label](TraceEvent& e) { e.label = std::move(label); });
 }
 
 void Span::finish() {
   if (task_) {
-    task_->finish_span(id_);
-    task_ = nullptr;
-    id_ = 0;
+    task_->stack_.finish(id_, [this](TraceEvent&& e) { task_->done_.push_back(std::move(e)); });
   } else if (tracer_) {
-    tracer_->finish_span(id_);
-    tracer_ = nullptr;
-    id_ = 0;
+    std::lock_guard<std::mutex> lk(tracer_->mu_);
+    tracer_->stack_.finish(id_, [this](TraceEvent&& e) { tracer_->retire(std::move(e)); });
   }
+  tracer_ = nullptr;
+  task_ = nullptr;
+  id_ = 0;
 }
 
-Span TaskTrace::span(std::string name, SpanOptions opts) {
-  if (!enabled_) return Span{};
-  detail::OpenSpan open;
-  open.id = next_local_++;
-  open.fanout = opts.fanout;
-  open.event.id = open.id;
-  open.event.name = std::move(name);
-  open.event.start_us = clock_ ? clock_->now_us() : 0;
-  if (!stack_.empty()) {
-    const detail::OpenSpan& parent = stack_.back();
-    open.event.parent = parent.id;
-    if (parent.fanout) open.event.kind = SpanKind::kParallel;
-  }
-  stack_.push_back(std::move(open));
-  return Span{this, stack_.back().id};
+namespace detail {
+
+void SpanStack::open(std::uint64_t id, std::string name, SpanOptions opts,
+                     const sim::SimClockPtr& clock) {
+  Open span;
+  span.fanout = opts.fanout;
+  span.event.id = id;
+  span.event.name = std::move(name);
+  span.event.start_us = clock ? clock->now_us() : 0;
+  adopt(span.event);
+  open_.push_back(std::move(span));
 }
 
-detail::OpenSpan* TaskTrace::find_open(std::uint64_t id) {
-  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-    if (it->id == id) return &*it;
+void SpanStack::adopt(TraceEvent& event) const {
+  if (open_.empty()) return;
+  event.parent = open_.back().event.id;
+  if (open_.back().fanout) event.kind = SpanKind::kParallel;
+}
+
+SpanStack::Open* SpanStack::find(std::uint64_t id) {
+  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+    if (it->event.id == id) return &*it;
   }
   return nullptr;
 }
 
-void TaskTrace::finish_span(std::uint64_t id) {
-  detail::OpenSpan* open = find_open(id);
-  if (!open || open->finished) return;
-  open->finished = true;
-  while (!stack_.empty() && stack_.back().finished) {
-    done_.push_back(std::move(stack_.back().event));
-    stack_.pop_back();
-  }
-}
+}  // namespace detail
 
-void TaskTrace::set_span_duration(std::uint64_t id, std::uint64_t us) {
-  if (detail::OpenSpan* open = find_open(id)) open->event.duration_us = us;
-}
-
-void TaskTrace::charge_span(std::uint64_t id, std::uint64_t us) {
-  if (detail::OpenSpan* open = find_open(id)) open->event.charged_us += us;
-}
-
-void TaskTrace::set_span_retries(std::uint64_t id, std::uint32_t n) {
-  if (detail::OpenSpan* open = find_open(id)) open->event.retries = n;
-}
-
-void TaskTrace::set_span_bytes(std::uint64_t id, std::uint64_t n) {
-  if (detail::OpenSpan* open = find_open(id)) open->event.bytes = n;
-}
-
-void TaskTrace::set_span_label(std::uint64_t id, std::string label) {
-  if (detail::OpenSpan* open = find_open(id)) open->event.label = std::move(label);
-}
-
-void TaskTrace::set_span_outcome(std::uint64_t id, ErrorCode code) {
-  if (detail::OpenSpan* open = find_open(id)) open->event.outcome = code;
+Span TaskTrace::span(std::string name, SpanOptions opts) {
+  if (!enabled_) return Span{};
+  const std::uint64_t id = next_local_++;
+  stack_.open(id, std::move(name), opts, clock_);
+  return Span{this, id};
 }
 
 TaskBinding::TaskBinding(TaskTrace* task) : prev_(g_current_task) {
@@ -172,19 +153,9 @@ Span Tracer::span(std::string name, SpanOptions opts) {
   if (g_current_task) return g_current_task->span(std::move(name), opts);
   std::lock_guard<std::mutex> lk(mu_);
   if (!enabled_) return Span{};
-  OpenSpan open;
-  open.id = next_id_++;
-  open.fanout = opts.fanout;
-  open.event.id = open.id;
-  open.event.name = std::move(name);
-  open.event.start_us = clock_ ? clock_->now_us() : 0;
-  if (!stack_.empty()) {
-    const OpenSpan& parent = stack_.back();
-    open.event.parent = parent.id;
-    if (parent.fanout) open.event.kind = SpanKind::kParallel;
-  }
-  stack_.push_back(std::move(open));
-  return Span{this, stack_.back().id};
+  const std::uint64_t id = next_id_++;
+  stack_.open(id, std::move(name), opts, clock_);
+  return Span{this, id};
 }
 
 TaskTrace Tracer::make_task() const {
@@ -197,26 +168,17 @@ TaskTrace Tracer::make_task() const {
 
 void Tracer::splice(std::vector<TaskTrace>& tasks) {
   std::lock_guard<std::mutex> lk(mu_);
-  std::uint64_t parent_id = 0;
-  bool parent_fanout = false;
-  if (!stack_.empty()) {
-    parent_id = stack_.back().id;
-    parent_fanout = stack_.back().fanout;
-  }
   for (TaskTrace& task : tasks) {
-    if (!task.enabled_) continue;
-    const std::uint64_t base = next_id_;
-    for (TraceEvent& local : task.done_) {
-      TraceEvent ev = std::move(local);
-      ev.id = base + ev.id - 1;
+    // Local id n becomes base + n; local parent 0 marks a buffer root.
+    const std::uint64_t base = next_id_ - 1;
+    for (TraceEvent& ev : task.done_) {
+      ev.id += base;
       if (ev.parent == 0) {
-        ev.parent = parent_id;
-        if (parent_fanout) ev.kind = SpanKind::kParallel;
+        stack_.adopt(ev);
       } else {
-        ev.parent = base + ev.parent - 1;
+        ev.parent += base;
       }
-      ring_[finished_ % capacity_] = std::move(ev);
-      ++finished_;
+      retire(std::move(ev));
     }
     next_id_ += task.next_local_ - 1;
     task.done_.clear();
@@ -225,55 +187,9 @@ void Tracer::splice(std::vector<TaskTrace>& tasks) {
   }
 }
 
-Tracer::OpenSpan* Tracer::find_open(std::uint64_t id) {
-  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
-    if (it->id == id) return &*it;
-  }
-  return nullptr;
-}
-
-void Tracer::finish_span(std::uint64_t id) {
-  std::lock_guard<std::mutex> lk(mu_);
-  OpenSpan* open = find_open(id);
-  if (!open || open->finished) return;
-  open->finished = true;
-  // Spans normally close LIFO; tolerate out-of-order finish by retiring the
-  // contiguous finished suffix of the stack only.
-  while (!stack_.empty() && stack_.back().finished) {
-    ring_[finished_ % capacity_] = std::move(stack_.back().event);
-    ++finished_;
-    stack_.pop_back();
-  }
-}
-
-void Tracer::set_span_duration(std::uint64_t id, std::uint64_t us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (OpenSpan* open = find_open(id)) open->event.duration_us = us;
-}
-
-void Tracer::charge_span(std::uint64_t id, std::uint64_t us) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (OpenSpan* open = find_open(id)) open->event.charged_us += us;
-}
-
-void Tracer::set_span_retries(std::uint64_t id, std::uint32_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (OpenSpan* open = find_open(id)) open->event.retries = n;
-}
-
-void Tracer::set_span_bytes(std::uint64_t id, std::uint64_t n) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (OpenSpan* open = find_open(id)) open->event.bytes = n;
-}
-
-void Tracer::set_span_label(std::uint64_t id, std::string label) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (OpenSpan* open = find_open(id)) open->event.label = std::move(label);
-}
-
-void Tracer::set_span_outcome(std::uint64_t id, ErrorCode code) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (OpenSpan* open = find_open(id)) open->event.outcome = code;
+void Tracer::retire(TraceEvent&& event) {
+  ring_[finished_ % capacity_] = std::move(event);
+  ++finished_;
 }
 
 std::vector<TraceEvent> Tracer::events() const {

@@ -30,13 +30,16 @@
 // (Tracer::splice) in branch-index order, renumbering ids and parenting each
 // buffer's root spans under the innermost open coordinator span. Because the
 // splice order is the branch index, not completion order, the exported dump
-// is byte-identical whether branches ran inline or on N threads.
+// is byte-identical whether branches ran inline or on N threads. The tracer
+// and every buffer keep their open spans in the same detail::SpanStack, so
+// opening, finding and retiring a span is one code path for both.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -72,11 +75,42 @@ class Tracer;
 class TaskTrace;
 
 namespace detail {
-struct OpenSpan {
-  std::uint64_t id = 0;
-  TraceEvent event;
-  bool fanout = false;
-  bool finished = false;
+/// The open spans of one recorder, innermost at the back. The Tracer keeps
+/// one under its mutex; each TaskTrace keeps one for its branch.
+class SpanStack {
+ public:
+  struct Open {
+    TraceEvent event;  // event.id is the span's id
+    bool fanout = false;
+    bool finished = false;
+  };
+
+  /// Opens span `id` under the innermost open span, starting now on `clock`
+  /// (at 0 when unbound).
+  void open(std::uint64_t id, std::string name, SpanOptions opts,
+            const sim::SimClockPtr& clock);
+  /// Parents `event` under the innermost open span: kParallel when that span
+  /// is a fanout group. Leaves a root as is when nothing is open.
+  void adopt(TraceEvent& event) const;
+  /// The open (possibly finished, not yet retired) span `id`, else null.
+  Open* find(std::uint64_t id);
+  /// Marks span `id` finished, then hands the contiguous finished suffix to
+  /// `retire`, innermost first. Spans normally close LIFO; one finished out
+  /// of order waits until every span opened after it has finished too.
+  template <typename Retire>
+  void finish(std::uint64_t id, Retire&& retire) {
+    Open* span = find(id);
+    if (!span || span->finished) return;
+    span->finished = true;
+    while (!open_.empty() && open_.back().finished) {
+      retire(std::move(open_.back().event));
+      open_.pop_back();
+    }
+  }
+  void clear() { open_.clear(); }
+
+ private:
+  std::vector<Open> open_;
 };
 }  // namespace detail
 
@@ -109,6 +143,10 @@ class Span {
   friend class TaskTrace;
   Span(Tracer* tracer, std::uint64_t id) : tracer_(tracer), id_(id) {}
   Span(TaskTrace* task, std::uint64_t id) : task_(task), id_(id) {}
+  /// Applies `fn` to this span's event while it is open; the one step every
+  /// setter takes. Holds the tracer's mutex for tracer-owned spans.
+  template <typename Fn>
+  void edit(Fn&& fn);
 
   Tracer* tracer_ = nullptr;
   TaskTrace* task_ = nullptr;
@@ -134,20 +172,11 @@ class TaskTrace {
   friend class Tracer;
   friend class Span;
 
-  void finish_span(std::uint64_t id);
-  void set_span_duration(std::uint64_t id, std::uint64_t us);
-  void charge_span(std::uint64_t id, std::uint64_t us);
-  void set_span_retries(std::uint64_t id, std::uint32_t n);
-  void set_span_bytes(std::uint64_t id, std::uint64_t n);
-  void set_span_label(std::uint64_t id, std::string label);
-  void set_span_outcome(std::uint64_t id, ErrorCode code);
-  detail::OpenSpan* find_open(std::uint64_t id);
-
   bool enabled_ = false;
   sim::SimClockPtr clock_;
   std::uint64_t next_local_ = 1;
-  std::vector<detail::OpenSpan> stack_;  // innermost open span at the back
-  std::vector<TraceEvent> done_;         // finished, in finish order
+  detail::SpanStack stack_;
+  std::vector<TraceEvent> done_;  // retired, in retirement order
 };
 
 /// RAII thread-local bind: while alive, tracer().span() calls on this thread
@@ -207,18 +236,7 @@ class Tracer {
  private:
   friend class Span;
 
-  using OpenSpan = detail::OpenSpan;
-
-  // Called by Span. All take the mutex.
-  void finish_span(std::uint64_t id);
-  void set_span_duration(std::uint64_t id, std::uint64_t us);
-  void charge_span(std::uint64_t id, std::uint64_t us);
-  void set_span_retries(std::uint64_t id, std::uint32_t n);
-  void set_span_bytes(std::uint64_t id, std::uint64_t n);
-  void set_span_label(std::uint64_t id, std::string label);
-  void set_span_outcome(std::uint64_t id, ErrorCode code);
-
-  OpenSpan* find_open(std::uint64_t id);  // mu_ held
+  void retire(TraceEvent&& event);  // mu_ held
 
   mutable std::mutex mu_;
   sim::SimClockPtr clock_;
@@ -226,8 +244,8 @@ class Tracer {
   std::size_t capacity_;
   std::uint64_t next_id_ = 1;
   std::uint64_t finished_ = 0;
-  std::vector<OpenSpan> stack_;     // innermost open span at the back
-  std::vector<TraceEvent> ring_;    // ring_[finished_ % capacity_]
+  detail::SpanStack stack_;       // guarded by mu_
+  std::vector<TraceEvent> ring_;  // ring_[finished_ % capacity_]
 };
 
 /// Process-global tracer used by the instrumented components.
