@@ -1,6 +1,8 @@
 #include "secretshare/shamir.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "gf/gf256.h"
 
@@ -44,83 +46,45 @@ std::vector<ShamirShare> shamir_share(BytesView secret, std::size_t k, std::size
   return shares;
 }
 
-Result<Bytes> shamir_combine(const std::vector<ShamirShare>& shares, std::size_t k) {
-  if (k == 0) return Error{ErrorCode::kInvalidArgument, "shamir_combine: k == 0"};
-  // Collect k distinct-x shares with consistent length.
+namespace {
+
+// Evaluates at `x` the degree-(k-1) polynomial through the first k shares
+// with distinct nonzero x and equal length, byte-wise by Lagrange
+// interpolation: l_i = prod_{j != i} (x - x_j) / (x_i - x_j), where in
+// GF(2^8) subtraction is xor. A share already at `x` is returned as is.
+// Errors name the public entry point `who`.
+Result<ShamirShare> interpolate_at(const std::vector<ShamirShare>& shares, std::size_t k,
+                                   std::uint8_t x, const std::string& who) {
+  if (k == 0) return Error{ErrorCode::kInvalidArgument, who + ": k == 0"};
   std::vector<const ShamirShare*> chosen;
   bool seen[256] = {};
   for (const auto& s : shares) {
     if (s.x == 0 || seen[s.x]) continue;
     if (!chosen.empty() && s.y.size() != chosen.front()->y.size()) {
-      return Error{ErrorCode::kInvalidArgument, "shamir_combine: share length mismatch"};
+      return Error{ErrorCode::kInvalidArgument, who + ": share length mismatch"};
     }
+    if (s.x == x) return s;
     seen[s.x] = true;
     chosen.push_back(&s);
     if (chosen.size() == k) break;
   }
   if (chosen.size() < k) {
-    return Error{ErrorCode::kInvalidArgument, "shamir_combine: fewer than k distinct shares"};
+    return Error{ErrorCode::kInvalidArgument, who + ": fewer than k distinct shares"};
   }
 
-  // Lagrange basis at x=0: l_i = prod_{j != i} x_j / (x_j - x_i); in GF(2^8)
-  // subtraction is xor.
   std::vector<std::uint8_t> lagrange(k);
   for (std::size_t i = 0; i < k; ++i) {
     std::uint8_t num = 1, den = 1;
     for (std::size_t j = 0; j < k; ++j) {
       if (i == j) continue;
-      num = gf::mul(num, chosen[j]->x);
-      den = gf::mul(den, static_cast<std::uint8_t>(chosen[j]->x ^ chosen[i]->x));
-    }
-    lagrange[i] = gf::div(num, den);
-  }
-
-  const std::size_t len = chosen.front()->y.size();
-  Bytes secret(len, 0);
-  for (std::size_t pos = 0; pos < len; ++pos) {
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < k; ++i) acc ^= gf::mul(lagrange[i], chosen[i]->y[pos]);
-    secret[pos] = acc;
-  }
-  return secret;
-}
-
-Result<ShamirShare> shamir_interpolate_share(const std::vector<ShamirShare>& shares,
-                                             std::size_t k, std::uint8_t x_target) {
-  if (x_target == 0) {
-    return Error{ErrorCode::kInvalidArgument, "interpolate: x=0 is the secret"};
-  }
-  // Collect k distinct shares (as in combine).
-  std::vector<const ShamirShare*> chosen;
-  bool seen[256] = {};
-  for (const auto& s : shares) {
-    if (s.x == 0 || seen[s.x]) continue;
-    if (!chosen.empty() && s.y.size() != chosen.front()->y.size()) {
-      return Error{ErrorCode::kInvalidArgument, "interpolate: share length mismatch"};
-    }
-    if (s.x == x_target) return s;  // already have it
-    seen[s.x] = true;
-    chosen.push_back(&s);
-    if (chosen.size() == k) break;
-  }
-  if (chosen.size() < k) {
-    return Error{ErrorCode::kInvalidArgument, "interpolate: fewer than k distinct shares"};
-  }
-
-  // Lagrange basis at x_target.
-  std::vector<std::uint8_t> lagrange(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    std::uint8_t num = 1, den = 1;
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i == j) continue;
-      num = gf::mul(num, static_cast<std::uint8_t>(x_target ^ chosen[j]->x));
+      num = gf::mul(num, static_cast<std::uint8_t>(x ^ chosen[j]->x));
       den = gf::mul(den, static_cast<std::uint8_t>(chosen[i]->x ^ chosen[j]->x));
     }
     lagrange[i] = gf::div(num, den);
   }
 
   ShamirShare out;
-  out.x = x_target;
+  out.x = x;
   out.y.assign(chosen.front()->y.size(), 0);
   for (std::size_t pos = 0; pos < out.y.size(); ++pos) {
     std::uint8_t acc = 0;
@@ -128,6 +92,22 @@ Result<ShamirShare> shamir_interpolate_share(const std::vector<ShamirShare>& sha
     out.y[pos] = acc;
   }
   return out;
+}
+
+}  // namespace
+
+Result<Bytes> shamir_combine(const std::vector<ShamirShare>& shares, std::size_t k) {
+  auto secret = interpolate_at(shares, k, 0, "shamir_combine");
+  if (!secret.ok()) return Error{secret.error()};
+  return std::move(secret->y);
+}
+
+Result<ShamirShare> shamir_interpolate_share(const std::vector<ShamirShare>& shares,
+                                             std::size_t k, std::uint8_t x_target) {
+  if (x_target == 0) {
+    return Error{ErrorCode::kInvalidArgument, "interpolate: x=0 is the secret"};
+  }
+  return interpolate_at(shares, k, x_target, "interpolate");
 }
 
 }  // namespace rockfs::secretshare

@@ -131,6 +131,9 @@ TEST(Shamir, InterpolateValidation) {
   EXPECT_EQ(shamir_interpolate_share(shares, 3, 0).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(shamir_interpolate_share({shares[0], shares[1]}, 3, 4).code(),
             ErrorCode::kInvalidArgument);
+  // k = 0 is rejected like shamir_combine rejects it, with or without shares.
+  EXPECT_EQ(shamir_interpolate_share({}, 0, 4).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(shamir_interpolate_share(shares, 0, 4).code(), ErrorCode::kInvalidArgument);
   // Requesting an x we already have returns it verbatim.
   const auto same = shamir_interpolate_share(shares, 3, shares[2].x);
   ASSERT_TRUE(same.ok());
