@@ -110,8 +110,8 @@ void ablate_parallel_pipeline(const BenchArgs&) {
     auto closed = agent.close_timed(*fd);
     const double parallel_s = static_cast<double>(closed.delay) / 1e6;
     // Sequential estimate: SCFS close + the full log pipeline (no overlap).
-    const double contention = scfs::ScfsOptions{}.uplink_contention;
-    const double log_s = (parallel_s - scfs_s) / contention;  // undo the overlap model
+    // Undo the overlap model to recover the log pipeline's own time.
+    const double log_s = (parallel_s - scfs_s) / scfs::kUplinkContention;
     const double sequential_s = scfs_s + log_s;
     std::printf("%14s%14.2f%13.1f%%\n", "no log", scfs_s, 0.0);
     std::printf("%14s%14.2f%13.1f%%\n", "parallel", parallel_s,

@@ -77,7 +77,7 @@ std::vector<std::string> WriteBackQueue::due_paths(std::int64_t now_us) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   for (const auto& [path, entry] : entries_) {
-    if (now_us >= entry.first_dirty_us + options_.flush_deadline_us) {
+    if (now_us >= entry.first_dirty_us + kFlushDeadlineUs) {
       out.push_back(path);
     }
   }
@@ -105,7 +105,7 @@ std::size_t WriteBackQueue::total_bytes() const {
 
 bool WriteBackQueue::over_cap() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return total_bytes_ > options_.dirty_bytes_cap;
+  return total_bytes_ > kDirtyBytesCap;
 }
 
 }  // namespace rockfs::cache

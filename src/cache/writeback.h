@@ -30,15 +30,16 @@
 
 namespace rockfs::cache {
 
+/// Max virtual age of a staged entry before the next eligible operation
+/// flushes it (measured from the FIRST close coalesced into the entry, so a
+/// hot path cannot defer its commit forever).
+inline constexpr std::int64_t kFlushDeadlineUs = 500'000;
+/// High-water mark across all staged entries: exceeding it drains the queue
+/// synchronously (bounds RAM and the crash-loss window).
+inline constexpr std::size_t kDirtyBytesCap = 8u << 20;
+
 struct WriteBackOptions {
   bool enabled = false;
-  /// Max virtual age of a staged entry before the next eligible operation
-  /// flushes it (measured from the FIRST close coalesced into the entry, so
-  /// a hot path cannot defer its commit forever).
-  std::int64_t flush_deadline_us = 500'000;
-  /// High-water mark across all staged entries: exceeding it drains the
-  /// queue synchronously (bounds RAM and the crash-loss window).
-  std::size_t dirty_bytes_cap = 8u << 20;
 };
 
 /// One staged (uncommitted) write. The base fields freeze at the FIRST

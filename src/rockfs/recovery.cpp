@@ -32,27 +32,25 @@ RecoveryService::RecoveryService(std::string user_id, RecoveryConfig config,
       storage_(std::move(admin_storage)),
       coordination_(std::move(coordination)),
       clock_(std::move(clock)) {
-  if (config_.log_recovery_ops) {
-    // The administrator's recovery actions form their own forward-secure
-    // stream under an admin chain ("admin:<user>"): the user agent's chain
-    // keys evolve in its RAM and are not available to the admin.
-    crypto::Drbg admin_drbg(to_bytes("rockfs.recovery." + user_id_),
-                            config_.user_chain_keys.a1);
-    admin_chain_keys_ = fssagg::fssagg_keygen(admin_drbg);
-    // A previous service instance may already have written admin records;
-    // resume the chain from the stored aggregates instead of restarting it.
-    // The admin chain gets the same write-ahead journal protection as the
-    // user chain: a crashed recovery's half-appended records are repaired
-    // here before any new "recover"/"snapshot" entry.
-    recovery_log_ = make_resumed_log_service(
-        "admin:" + user_id_, storage_, config_.admin_tokens, coordination_, clock_,
-        admin_chain_keys_, LogServiceOptions{/*enable_journal=*/true, /*crash=*/nullptr});
-  }
+  // Recovery operations are themselves logged (paper §3.3), as their own
+  // forward-secure stream under an admin chain ("admin:<user>"): the user
+  // agent's chain keys evolve in its RAM and are not available to the admin.
+  crypto::Drbg admin_drbg(to_bytes("rockfs.recovery." + user_id_),
+                          config_.user_chain_keys.a1);
+  admin_chain_keys_ = fssagg::fssagg_keygen(admin_drbg);
+  // A previous service instance may already have written admin records;
+  // resume the chain from the stored aggregates instead of restarting it.
+  // The admin chain gets the same write-ahead journal protection as the
+  // user chain: a crashed recovery's half-appended records are repaired
+  // here before any new "recover"/"snapshot" entry.
+  recovery_log_ = make_resumed_log_service(
+      "admin:" + user_id_, storage_, config_.admin_tokens, coordination_, clock_,
+      admin_chain_keys_, LogServiceOptions{/*enable_journal=*/true, /*crash=*/nullptr});
 }
 
 void RecoveryService::set_crash_schedule(sim::CrashSchedulePtr crash) {
   crash_ = std::move(crash);
-  if (recovery_log_) recovery_log_->set_crash_schedule(crash_);
+  recovery_log_->set_crash_schedule(crash_);
 }
 
 Result<LogAudit> RecoveryService::audit_admin_log() {
@@ -322,9 +320,9 @@ Result<FileRecovery> RecoveryService::recover_one(const LogAudit& audit,
 
 Status RecoveryService::commit_recovered(const std::string& path, const Bytes& content,
                                          sim::SimClock::Micros* delay) {
-  // Step 5: push the recovered version back and bump the inode. The unit
-  // namespace is flat ("files" + path): files are shared, not per-user.
-  const std::string unit = "files" + path;
+  // Step 5: push the recovered version back and bump the inode. Files are
+  // shared, not per-user: the unit is the one every SCFS client uses.
+  const std::string unit = scfs::file_unit(path);
   auto up = storage_->write(config_.admin_tokens, unit, content);
   *delay += up.delay;
   if (!up.value.ok()) return Status{up.value.error()};
@@ -347,12 +345,9 @@ Status RecoveryService::commit_recovered(const std::string& path, const Bytes& c
   if (!meta.value.ok()) return Status{meta.value.error()};
 
   // The recovery operation is itself logged (and can never be erased).
-  if (recovery_log_) {
-    auto logged = recovery_log_->append(path, {}, content, version, "recover");
-    *delay += logged.delay;
-    if (!logged.value.ok()) return logged.value;
-  }
-  return {};
+  auto logged = recovery_log_->append(path, {}, content, version, "recover");
+  *delay += logged.delay;
+  return logged.value;
 }
 
 Result<FileRecovery> RecoveryService::recover_file(const std::string& path,
@@ -488,9 +483,6 @@ Result<FileRecovery> RecoveryService::recover_shared_file(
 
 Result<RecoveryService::CompactionReport> RecoveryService::compact_file(
     const std::string& path) {
-  if (!recovery_log_) {
-    return Error{ErrorCode::kInvalidArgument, "compaction requires log_recovery_ops"};
-  }
   auto audit = audit_log();
   if (!audit.ok()) return Error{audit.error()};
   if (audit->report.aggregate_mismatch || audit->report.count_mismatch) {
@@ -526,7 +518,7 @@ Result<RecoveryService::CompactionReport> RecoveryService::compact_file(
   for (const LogRecord* r : entries) {
     bool archived_any = false;
     for (std::size_t i = 0; i < config_.admin_tokens.size(); ++i) {
-      const std::string key = r->data_unit() + ".v1.s" + std::to_string(i);
+      const std::string key = depsky::DepSkyClient::share_key(r->data_unit(), 1, i);
       auto& cloud = *storage_->config().clouds[i];
       const std::uint64_t before = cloud.stored_bytes();
       auto archived = cloud.archive(config_.admin_tokens[i], key);
@@ -575,33 +567,31 @@ Result<std::vector<FileRecovery>> RecoveryService::recover_all(
   // means the previous run crashed — resume after the last completed file
   // instead of re-recovering (and double-logging) the finished ones.
   std::set<std::string> already_done;
-  if (recovery_log_) {
-    bool resuming = false;
-    auto admin = audit_admin_log();
-    if (admin.ok()) {
-      const LogRecord* begin = nullptr;
-      const LogRecord* end = nullptr;
+  bool resuming = false;
+  auto admin = audit_admin_log();
+  if (admin.ok()) {
+    const LogRecord* begin = nullptr;
+    const LogRecord* end = nullptr;
+    for (const auto& r : admin->records) {
+      if (admin->discarded_seqs.contains(r.seq)) continue;
+      if (r.op == "recover-begin" && (!begin || r.seq > begin->seq)) begin = &r;
+      if (r.op == "recover-end" && (!end || r.seq > end->seq)) end = &r;
+    }
+    if (begin != nullptr && (end == nullptr || end->seq < begin->seq)) {
+      resuming = true;
       for (const auto& r : admin->records) {
         if (admin->discarded_seqs.contains(r.seq)) continue;
-        if (r.op == "recover-begin" && (!begin || r.seq > begin->seq)) begin = &r;
-        if (r.op == "recover-end" && (!end || r.seq > end->seq)) end = &r;
+        if (r.op == "recover" && r.seq > begin->seq) already_done.insert(r.path);
       }
-      if (begin != nullptr && (end == nullptr || end->seq < begin->seq)) {
-        resuming = true;
-        for (const auto& r : admin->records) {
-          if (admin->discarded_seqs.contains(r.seq)) continue;
-          if (r.op == "recover" && r.seq > begin->seq) already_done.insert(r.path);
-        }
-        obs::metrics().counter("recovery.resumed").add();
-        LOG_INFO("recover_all resuming: " << already_done.size()
-                                          << " file(s) already checkpointed");
-      }
+      obs::metrics().counter("recovery.resumed").add();
+      LOG_INFO("recover_all resuming: " << already_done.size()
+                                        << " file(s) already checkpointed");
     }
-    if (!resuming) {
-      auto marker = recovery_log_->append("*", {}, {}, 0, "recover-begin");
-      delay += marker.delay;
-      if (!marker.value.ok()) return Error{marker.value.error()};
-    }
+  }
+  if (!resuming) {
+    auto marker = recovery_log_->append("*", {}, {}, 0, "recover-begin");
+    delay += marker.delay;
+    if (!marker.value.ok()) return Error{marker.value.error()};
   }
 
   // Enumerate files: priority list first, then everything else in log order.
@@ -643,11 +633,9 @@ Result<std::vector<FileRecovery>> RecoveryService::recover_all(
                  std::string("recovery crashed at ") + sim::crash_point_name(crash.point)};
   }
 
-  if (recovery_log_) {
-    auto marker = recovery_log_->append("*", {}, {}, 0, "recover-end");
-    delay += marker.delay;
-    if (!marker.value.ok()) return Error{marker.value.error()};
-  }
+  auto marker = recovery_log_->append("*", {}, {}, 0, "recover-end");
+  delay += marker.delay;
+  if (!marker.value.ok()) return Error{marker.value.error()};
 
   clock_->advance_us(delay);
   book_recovery(span, start, results.size());

@@ -38,13 +38,10 @@
 namespace rockfs::core {
 
 struct RecoveryConfig {
-  std::string admin_id = "admin";
   /// Initial FssAgg keys (A_1, B_1) the administrator exchanged at setup.
   fssagg::FssAggKeys user_chain_keys;
   /// Tokens granting admin access at every cloud.
   std::vector<cloud::AccessToken> admin_tokens;
-  /// Whether recovery operations are themselves logged (paper: always).
-  bool log_recovery_ops = true;
   /// FssAgg setup keys of OTHER users who write to the shared namespace.
   /// recover_shared_file audits their chains too and merges all writers'
   /// entries over one file (multi-client sessions).

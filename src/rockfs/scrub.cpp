@@ -69,7 +69,6 @@ sim::Timed<Status> LogScrubber::scrub_chain(const std::string& chain,
     if (!degraded) continue;
     ++report.entries_degraded;
     reg.counter("scrub.entries.degraded").add();
-    if (!options_.repair) continue;
 
     auto fixed = storage_->repair(tokens_, r.data_unit());
     delay += fixed.delay;
@@ -147,8 +146,9 @@ Result<ScrubReport> LogScrubber::scrub() {
   sim::SimClock::Micros delay = 0;
   ScrubReport report;
 
-  std::vector<std::string> chains{user_id_};
-  if (options_.include_admin_chain) chains.push_back("admin:" + user_id_);
+  // The admin chain ("admin:<user>") holds the snapshots and recovery
+  // records, which recovery depends on just as much as the user's chain.
+  const std::vector<std::string> chains{user_id_, "admin:" + user_id_};
 
   for (const std::string& chain : chains) {
     auto scrubbed = scrub_chain(chain, report);

@@ -34,11 +34,6 @@ struct ScrubOptions {
   /// default margin of 1 repairs an entry as soon as it can no longer lose
   /// another share without losing data.
   std::size_t margin = 1;
-  /// Repair degraded entries (false = detect and report only).
-  bool repair = true;
-  /// Also scrub the admin chain ("admin:<user>" — snapshots and recovery
-  /// records, which recovery depends on just as much).
-  bool include_admin_chain = true;
 };
 
 /// One scrubbed chain's outcome.

@@ -11,6 +11,10 @@ namespace {
 
 constexpr const char* kInodeTag = "scfs-inode";
 
+// Local client-side costs (charged in both modes).
+constexpr std::int64_t kLocalOpCostUs = 1'500;     // syscall + agent bookkeeping
+constexpr double kLocalDiskBytesPerSec = 150e6;    // cache (SSD) throughput
+
 Result<FileStat> parse_inode(const coord::Tuple& t) {
   if (t.size() != 7 || t[0] != kInodeTag) {
     return Error{ErrorCode::kCorrupted, "scfs: malformed inode tuple"};
@@ -51,6 +55,11 @@ coord::Tuple inode_tuple(const FileStat& s) {
 coord::Template inode_pattern(const std::string& path) {
   return coord::Template::of({kInodeTag, path, "*", "*", "*", "*", "*"});
 }
+
+// One shared unit per path: file tokens are namespace-scoped, not
+// user-prefix-bound, so cross-user reads and writes authorize; DepSky
+// readers trust the writer roster.
+std::string file_unit(const std::string& path) { return "files" + path; }
 
 Scfs::Scfs(std::shared_ptr<depsky::DepSkyClient> storage,
            std::vector<cloud::AccessToken> storage_tokens,
@@ -119,18 +128,9 @@ void Scfs::poke_cache(const std::string& path, Bytes raw) {
   if (cache_) cache_->poke_raw(path, std::move(raw));
 }
 
-std::string Scfs::unit_for(const std::string& path) const {
-  // One shared unit per path (paths start with "/"): SCFS is a SHARED
-  // namespace, so every client maps the same file to the same data unit.
-  // File tokens are namespace-scoped, not user-prefix-bound, so cross-user
-  // reads and writes authorize; DepSky readers trust the writer roster.
-  return "files" + path;
-}
-
 sim::SimClock::Micros Scfs::local_cost(std::size_t bytes) const {
-  return options_.local_op_cost_us +
-         static_cast<sim::SimClock::Micros>(1e6 * static_cast<double>(bytes) /
-                                            options_.local_disk_bytes_per_sec);
+  const double transfer_us = 1e6 * static_cast<double>(bytes) / kLocalDiskBytesPerSec;
+  return kLocalOpCostUs + static_cast<sim::SimClock::Micros>(transfer_us);
 }
 
 bool Scfs::is_open_path(const std::string& path) const {
@@ -301,7 +301,7 @@ Result<Scfs::Fd> Scfs::open(const std::string& path) {
     }
   }
   if (!loaded && st->version > 0) {
-    auto fetched = storage_->read(storage_tokens_, unit_for(path));
+    auto fetched = storage_->read(storage_tokens_, file_unit(path));
     delay += fetched.delay;
     if (!fetched.value.ok()) {
       clock_->advance_us(delay);
@@ -333,8 +333,7 @@ Result<Bytes> Scfs::read(Fd fd, std::size_t offset, std::size_t length) {
   const Bytes& c = it->second.content;
   if (offset >= c.size()) return Bytes{};
   const std::size_t take = std::min(length, c.size() - offset);
-  clock_->advance_us(local_cost(take) - options_.local_op_cost_us +
-                     options_.local_op_cost_us / 8);
+  clock_->advance_us(local_cost(take) - kLocalOpCostUs + kLocalOpCostUs / 8);
   return Bytes(c.begin() + static_cast<std::ptrdiff_t>(offset),
                c.begin() + static_cast<std::ptrdiff_t>(offset + take));
 }
@@ -346,8 +345,7 @@ Status Scfs::write(Fd fd, std::size_t offset, BytesView data) {
   if (offset + data.size() > c.size()) c.resize(offset + data.size());
   std::copy(data.begin(), data.end(), c.begin() + static_cast<std::ptrdiff_t>(offset));
   it->second.dirty = true;
-  clock_->advance_us(local_cost(data.size()) - options_.local_op_cost_us +
-                     options_.local_op_cost_us / 8);
+  clock_->advance_us(local_cost(data.size()) - kLocalOpCostUs + kLocalOpCostUs / 8);
   return {};
 }
 
@@ -362,7 +360,7 @@ Status Scfs::truncate(Fd fd, std::size_t new_size) {
   if (it == open_files_.end()) return {ErrorCode::kInvalidArgument, "scfs: bad fd"};
   it->second.content.resize(new_size);
   it->second.dirty = true;
-  clock_->advance_us(options_.local_op_cost_us / 8);
+  clock_->advance_us(kLocalOpCostUs / 8);
   return {};
 }
 
@@ -414,7 +412,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
   // delay; the overlapping children inside it are excluded from exclusive-
   // time sums.
   obs::Span pipeline_span = obs::tracer().span("scfs.upload_pipeline", {.fanout = true});
-  auto file_up = storage_->write(storage_tokens_, unit_for(job.path), job.content);
+  auto file_up = storage_->write(storage_tokens_, file_unit(job.path), job.content);
   if (!file_up.value.ok()) {
     pipeline_span.set_duration(static_cast<std::uint64_t>(file_up.delay));
     pipeline_span.set_outcome(file_up.value.code());
@@ -435,7 +433,7 @@ Scfs::CommitResult Scfs::commit_job(const CommitJob& job, obs::Span& span) {
     // their transfers contend for the client uplink.
     const auto shorter = std::min(r.pipeline, extra.delay);
     r.pipeline = std::max(r.pipeline, extra.delay) +
-                 static_cast<sim::SimClock::Micros>(options_.uplink_contention *
+                 static_cast<sim::SimClock::Micros>(kUplinkContention *
                                                     static_cast<double>(shorter));
   } else {
     // No log pipeline to carry the commit-side fence check: do it here,
@@ -714,7 +712,7 @@ Status Scfs::unlink(const std::string& path) {
     cache_->note_missing(path, clock_->now_us());
   }
   if (st.ok() && st->version > 0) {
-    auto rm = storage_->remove(storage_tokens_, unit_for(path));
+    auto rm = storage_->remove(storage_tokens_, file_unit(path));
     delay += rm.delay;
     // A failed cloud delete leaves garbage but the file is gone from the
     // namespace; nothing to surface to the caller.
@@ -743,20 +741,20 @@ Status Scfs::rename(const std::string& from, const std::string& to) {
   // Move the data unit: read + write under the new name, then swap tuples.
   Bytes content;
   if (src->version > 0) {
-    auto fetched = storage_->read(storage_tokens_, unit_for(from));
+    auto fetched = storage_->read(storage_tokens_, file_unit(from));
     delay += fetched.delay;
     if (!fetched.value.ok()) {
       clock_->advance_us(delay);
       return Status{fetched.value.error()};
     }
     content = std::move(*fetched.value);
-    auto put = storage_->write(storage_tokens_, unit_for(to), content);
+    auto put = storage_->write(storage_tokens_, file_unit(to), content);
     delay += put.delay;
     if (!put.value.ok()) {
       clock_->advance_us(delay);
       return Status{put.value.error()};
     }
-    auto rm = storage_->remove(storage_tokens_, unit_for(from));
+    auto rm = storage_->remove(storage_tokens_, file_unit(from));
     delay += rm.delay;
   }
   auto taken = coordination_->inp(inode_pattern(from));

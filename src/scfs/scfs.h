@@ -82,6 +82,16 @@ struct FileStat {
 coord::Tuple inode_tuple(const FileStat& s);
 /// Wildcard pattern matching the inode of `path`.
 coord::Template inode_pattern(const std::string& path);
+/// The DepSky unit holding `path`'s content. SCFS is a shared namespace, so
+/// every client (and the recovering administrator) maps a path to the same
+/// unit; paths start with "/".
+std::string file_unit(const std::string& path);
+
+/// Parallel upload pipelines (file + log) share the client's physical
+/// uplink: this fraction of the smaller pipeline's time is serialized
+/// behind the larger one (the request/RTT components overlap fully; only
+/// the transfer component contends). 0 = ideal parallelism, 1 = sequential.
+inline constexpr double kUplinkContention = 0.2;
 
 struct ScfsOptions {
   SyncMode sync_mode = SyncMode::kNonBlocking;
@@ -102,14 +112,6 @@ struct ScfsOptions {
   /// Lease TTL in virtual time; an expired lease is evictable by any
   /// contender (see scfs/lease.h).
   std::int64_t lease_ttl_us = 30'000'000;
-  /// Local client-side costs (charged in both modes).
-  std::int64_t local_op_cost_us = 1'500;         // syscall + agent bookkeeping
-  double local_disk_bytes_per_sec = 150e6;       // cache (SSD) throughput
-  /// Parallel upload pipelines (file + log) share the client's physical
-  /// uplink: this fraction of the smaller pipeline's time is serialized
-  /// behind the larger one (the request/RTT components overlap fully; only
-  /// the transfer component contends). 0 = ideal parallelism, 1 = sequential.
-  double uplink_contention = 0.2;
 };
 
 class Scfs {
@@ -237,9 +239,6 @@ class Scfs {
   const std::vector<cloud::AccessToken>& storage_tokens() const noexcept {
     return storage_tokens_;
   }
-
-  /// DepSky unit name for a path (exposed for the recovery service).
-  std::string unit_for(const std::string& path) const;
 
  private:
   struct OpenFile {

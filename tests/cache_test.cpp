@@ -122,8 +122,8 @@ TEST(WriteBackUnit, CoalescingFreezesBaseAndCountsAbsorbedCloses) {
   EXPECT_EQ(staged->first_dirty_us, 100);              // deadline anchor kept
   EXPECT_EQ(staged->coalesced, 1u);
 
-  EXPECT_EQ(q.due_paths(100 + opt.flush_deadline_us - 1).size(), 0u);
-  EXPECT_EQ(q.due_paths(100 + opt.flush_deadline_us).size(), 1u);
+  EXPECT_EQ(q.due_paths(100 + cache::kFlushDeadlineUs - 1).size(), 0u);
+  EXPECT_EQ(q.due_paths(100 + cache::kFlushDeadlineUs).size(), 1u);
 
   ASSERT_TRUE(q.take("/f").has_value());
   EXPECT_FALSE(q.contains("/f"));
