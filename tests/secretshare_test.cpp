@@ -4,6 +4,7 @@
 
 #include "common/hex.h"
 #include "crypto/drbg.h"
+#include "crypto/sha256.h"
 #include "secretshare/pvss.h"
 #include "secretshare/shamir.h"
 
@@ -142,38 +143,47 @@ TEST(Shamir, InterpolateValidation) {
 
 // -------------------------------------------------------------------- DLEQ
 
+// Every caller proves against g1 = G; a second base off the generator runs
+// a1 = r*g1 + c*h1 with neither point on G.
+std::vector<Point> dleq_bases() {
+  return {crypto::generator(), crypto::scalar_mul_base(Uint256(0x5eed))};
+}
+
 TEST(Dleq, ProveVerify) {
   Drbg drbg = test_drbg("dleq1");
   const Uint256 x = crypto::scalar_from_bytes(drbg.generate(32));
-  const Point g1 = crypto::generator();
   const Point g2 = crypto::scalar_mul_base(Uint256(999));
-  const Point h1 = crypto::scalar_mul(x, g1);
-  const Point h2 = crypto::scalar_mul(x, g2);
-  const DleqProof proof = dleq_prove(g1, h1, g2, h2, x, drbg);
-  EXPECT_TRUE(dleq_verify(g1, h1, g2, h2, proof));
+  for (const Point& g1 : dleq_bases()) {
+    const Point h1 = crypto::scalar_mul(x, g1);
+    const Point h2 = crypto::scalar_mul(x, g2);
+    const DleqProof proof = dleq_prove(g1, h1, g2, h2, x, drbg);
+    EXPECT_TRUE(dleq_verify(g1, h1, g2, h2, proof)) << g1.x.to_hex();
+  }
 }
 
 TEST(Dleq, RejectsUnequalLogs) {
   Drbg drbg = test_drbg("dleq2");
   const Uint256 x = crypto::scalar_from_bytes(drbg.generate(32));
-  const Point g1 = crypto::generator();
   const Point g2 = crypto::scalar_mul_base(Uint256(999));
-  const Point h1 = crypto::scalar_mul(x, g1);
-  const Point h2_wrong = crypto::scalar_mul(crypto::scalar_add(x, Uint256(1)), g2);
-  const DleqProof proof = dleq_prove(g1, h1, g2, h2_wrong, x, drbg);
-  EXPECT_FALSE(dleq_verify(g1, h1, g2, h2_wrong, proof));
+  for (const Point& g1 : dleq_bases()) {
+    const Point h1 = crypto::scalar_mul(x, g1);
+    const Point h2_wrong = crypto::scalar_mul(crypto::scalar_add(x, Uint256(1)), g2);
+    const DleqProof proof = dleq_prove(g1, h1, g2, h2_wrong, x, drbg);
+    EXPECT_FALSE(dleq_verify(g1, h1, g2, h2_wrong, proof)) << g1.x.to_hex();
+  }
 }
 
 TEST(Dleq, RejectsTamperedProof) {
   Drbg drbg = test_drbg("dleq3");
   const Uint256 x = crypto::scalar_from_bytes(drbg.generate(32));
-  const Point g1 = crypto::generator();
   const Point g2 = crypto::scalar_mul_base(Uint256(42));
-  const Point h1 = crypto::scalar_mul(x, g1);
-  const Point h2 = crypto::scalar_mul(x, g2);
-  DleqProof proof = dleq_prove(g1, h1, g2, h2, x, drbg);
-  proof.r = crypto::scalar_add(proof.r, Uint256(1));
-  EXPECT_FALSE(dleq_verify(g1, h1, g2, h2, proof));
+  for (const Point& g1 : dleq_bases()) {
+    const Point h1 = crypto::scalar_mul(x, g1);
+    const Point h2 = crypto::scalar_mul(x, g2);
+    DleqProof proof = dleq_prove(g1, h1, g2, h2, x, drbg);
+    proof.r = crypto::scalar_add(proof.r, Uint256(1));
+    EXPECT_FALSE(dleq_verify(g1, h1, g2, h2, proof)) << g1.x.to_hex();
+  }
 }
 
 // -------------------------------------------------------------------- PVSS
@@ -309,6 +319,44 @@ TEST(Pvss, InvalidParameters) {
             ErrorCode::kInvalidArgument);
   EXPECT_EQ(pvss_decrypt_share(deal, 9, fx.participants[0], fx.drbg).code(),
             ErrorCode::kInvalidArgument);
+}
+
+// The PVSS twin of Schnorr.KeysAndSignaturesArePinned. Every DLEQ proof
+// hashes its commitments a1 and a2, so a wrong point anywhere in share,
+// verifyD, decrypt, verifyS or combine moves a byte of the digest.
+TEST(Pvss, DealsSharesAndSecretsArePinned) {
+  Drbg drbg = test_drbg("pvss-pinned");
+  crypto::Sha256 digest;
+  for (std::size_t n = 3; n <= 5; ++n) {
+    for (std::size_t k = 1; k <= n; ++k) {
+      std::vector<KeyPair> holders;
+      std::vector<Point> keys;
+      for (std::size_t i = 0; i < n; ++i) {
+        holders.push_back(crypto::generate_keypair(drbg));
+        keys.push_back(holders.back().public_key);
+      }
+      const Uint256 secret = crypto::scalar_from_bytes(drbg.generate(32));
+      const PvssDeal deal = pvss_share(secret, keys, k, drbg);
+      ASSERT_TRUE(pvss_verify_deal(deal, keys)) << n << " " << k;
+      digest.update(deal.serialize());
+      std::vector<PvssDecryptedShare> dec;
+      for (std::size_t i = 1; i <= n; ++i) {
+        const auto share = pvss_decrypt_share(deal, i, holders[i - 1], drbg);
+        ASSERT_TRUE(share.ok());
+        ASSERT_TRUE(pvss_verify_decrypted(deal, *share, keys[i - 1])) << n << " " << k;
+        digest.update(share->serialize());
+        dec.push_back(*share);
+      }
+      // The last k shares, so the Lagrange weights are not all small.
+      dec.erase(dec.begin(), dec.end() - static_cast<std::ptrdiff_t>(k));
+      const auto combined = pvss_combine(dec, k);
+      ASSERT_TRUE(combined.ok());
+      ASSERT_EQ(*combined, pvss_public_secret(secret)) << n << " " << k;
+      digest.update(pvss_secret_key(*combined));
+    }
+  }
+  EXPECT_EQ(hex_encode(digest.finish()),
+            "873129646d449d7a0e1fd25cf2ec916298936b07714b7ab680f0c2b21563be46");
 }
 
 }  // namespace
