@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "cloud/provider.h"
 #include "common/rng.h"
@@ -19,6 +20,7 @@
 #include "diff/binary_diff.h"
 #include "erasure/reed_solomon.h"
 #include "fssagg/fssagg.h"
+#include "secretshare/pvss.h"
 #include "secretshare/shamir.h"
 
 namespace rockfs {
@@ -156,9 +158,9 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
-// k*G through the comb and k*P through the 4-bit window, the two multiplies
-// inside sign and verify. Each iteration draws a fresh DRBG scalar, which
-// costs about 2 us, a few percent of a k*G.
+// k*G through the comb (sign's multiply) and k*P through the one-term GLV
+// sum. Each iteration draws a fresh DRBG scalar, which costs about 2 us, a
+// few percent of a k*G.
 void BM_ScalarMulBase(benchmark::State& state) {
   crypto::Drbg drbg(to_bytes("bench"));
   for (auto _ : state) {
@@ -177,6 +179,48 @@ void BM_ScalarMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScalarMul);
+
+// One verifyD-style proof check with g1 = G, as every protocol caller has:
+// a1 = r*G + c*h1 and a2 = r*g2 + c*h2, one sum each.
+void BM_DleqVerify(benchmark::State& state) {
+  crypto::Drbg drbg(to_bytes("bench"));
+  const crypto::Uint256 x = crypto::scalar_from_bytes(drbg.generate(32));
+  const crypto::Point g1 = crypto::generator();
+  const crypto::Point g2 = crypto::generate_keypair(drbg).public_key;
+  const crypto::Point h1 = crypto::scalar_mul(x, g1);
+  const crypto::Point h2 = crypto::scalar_mul(x, g2);
+  const secretshare::DleqProof proof = secretshare::dleq_prove(g1, h1, g2, h2, x, drbg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secretshare::dleq_verify(g1, h1, g2, h2, proof));
+  }
+}
+BENCHMARK(BM_DleqVerify);
+
+// The PVSS half of a 2-of-3 keystore unseal (login): verifyD over the deal,
+// then decrypt + verifyS by two holders, then combine in the exponent.
+void BM_PvssUnseal(benchmark::State& state) {
+  crypto::Drbg drbg(to_bytes("bench"));
+  std::vector<crypto::KeyPair> holders;
+  std::vector<crypto::Point> keys;
+  for (int i = 0; i < 3; ++i) {
+    holders.push_back(crypto::generate_keypair(drbg));
+    keys.push_back(holders.back().public_key);
+  }
+  const secretshare::PvssDeal deal = secretshare::pvss_share(
+      crypto::scalar_from_bytes(drbg.generate(32)), keys, 2, drbg);
+  for (auto _ : state) {
+    bool ok = secretshare::pvss_verify_deal(deal, keys);
+    std::vector<secretshare::PvssDecryptedShare> shares;
+    for (std::size_t i = 1; i <= 2; ++i) {
+      auto share = secretshare::pvss_decrypt_share(deal, i, holders[i - 1], drbg);
+      ok = ok && secretshare::pvss_verify_decrypted(deal, *share, keys[i - 1]);
+      shares.push_back(*share);
+    }
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(secretshare::pvss_combine(shares, 2));
+  }
+}
+BENCHMARK(BM_PvssUnseal);
 
 void BM_ShamirShareCombine(benchmark::State& state) {
   crypto::Drbg drbg(to_bytes("bench"));

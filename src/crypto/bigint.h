@@ -64,9 +64,10 @@ struct Uint512 {
 Uint256 mod(const Uint512& a, const Uint256& m);
 
 // ---- Generic modular arithmetic (any modulus) ----
-// add_mod/sub_mod are the secp256k1 field and scalar sums; mod, mul_mod,
-// pow_mod and inv_mod_prime are the reference the secp256k1 tests hold the
-// fe_*/scalar_* products and inverses to.
+// add_mod/sub_mod are the secp256k1 scalar sums and the reference for the
+// field sums fe_add/fe_sub; mod, mul_mod, pow_mod and inv_mod_prime are the
+// reference the secp256k1 tests hold the fe_*/scalar_* products and
+// inverses to.
 
 Uint256 add_mod(const Uint256& a, const Uint256& b, const Uint256& m);
 Uint256 sub_mod(const Uint256& a, const Uint256& b, const Uint256& m);

@@ -4,6 +4,9 @@
 // Not constant-time: this is a research reproduction, not a wallet.
 #pragma once
 
+#include <span>
+#include <utility>
+
 #include "common/bytes.h"
 #include "crypto/bigint.h"
 
@@ -29,16 +32,19 @@ const Point& generator();
 /// Group law.
 Point point_add(const Point& a, const Point& b);
 Point point_double(const Point& a);
-/// k*P for any 256-bit k (so k and k mod n give the same point): a fixed
-/// 4-bit window over a table of 1P..15P, 256 doublings and at most 64 additions.
+/// sum k_i * P_i for any 256-bit k_i (k and k mod n give the same point),
+/// with one conversion to affine. Terms on G add their scalars mod n and go
+/// through the comb of scalar_mul_base. Every other term splits k mod n by
+/// the GLV endomorphism into two halves below 2^128, each a width-5 wNAF
+/// over a Jacobian table of 1P, 3P, ..., 15P (the lambda half reads it with
+/// X scaled by beta); all streams share one chain of at most 129 doublings.
+Point scalar_mul_sum(std::span<const std::pair<Uint256, Point>> terms);
+/// k*P: the one-term scalar_mul_sum, so k*G goes through the comb.
 Point scalar_mul(const Uint256& k, const Point& p);
 /// k*G by a comb: a table of j*16^i*G (i < 64, 1 <= j <= 15, affine, about
 /// 68 KiB) built once per process on first use, thread-safely. k*G is then at
 /// most 64 mixed additions and no doublings.
 Point scalar_mul_base(const Uint256& k);
-/// a*G + b*P with a single conversion to affine: b*P by the window of
-/// scalar_mul, then a*G added through the comb. Schnorr verify's one multiply.
-Point scalar_mul_base_add(const Uint256& a, const Uint256& b, const Point& p);
 Point point_negate(const Point& a);
 
 /// Whether the point satisfies the curve equation (identity counts as valid).
@@ -50,12 +56,15 @@ Bytes point_encode(const Point& p);
 Point point_decode(BytesView b);
 
 // Field arithmetic mod p, on p's special form 2^256 - (2^32 + 977): the
-// high half of a product folds back as high * (2^32 + 977). Exposed for tests.
+// high half of a product, and the carry or borrow of a sum, fold back as
+// multiples of 2^32 + 977. Exposed for tests.
 /// a + b and a - b mod p; both inputs must be < p (the result then is).
 Uint256 fe_add(const Uint256& a, const Uint256& b);
 Uint256 fe_sub(const Uint256& a, const Uint256& b);
 /// a * b mod p for any 256-bit inputs; the result is < p.
 Uint256 fe_mul(const Uint256& a, const Uint256& b);
+/// a * a mod p for any 256-bit input (10 limb products, not 16); the result is < p.
+Uint256 fe_sqr(const Uint256& a);
 /// a^(p-2) by the standard addition chain (255 squarings, 15 multiplications);
 /// throws std::invalid_argument for a == 0.
 Uint256 fe_inv(const Uint256& a);

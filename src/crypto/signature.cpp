@@ -64,7 +64,9 @@ bool verify(const Point& public_key, BytesView message, BytesView signature) {
   if (s >= curve_n()) return false;
   const Uint256 e = challenge(r, public_key, message);
   // s*G == R + e*P, checked as s*G + (n - e)*P == R with one affine conversion.
-  return scalar_mul_base_add(s, scalar_sub(Uint256(0), e), public_key) == r;
+  const std::pair<Uint256, Point> terms[] = {{s, generator()},
+                                             {scalar_sub(Uint256(0), e), public_key}};
+  return scalar_mul_sum(terms) == r;
 }
 
 bool verify(BytesView public_key_bytes, BytesView message, BytesView signature) {

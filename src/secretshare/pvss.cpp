@@ -22,14 +22,15 @@ Uint256 dleq_challenge(const Point& g1, const Point& h1, const Point& g2, const 
 
 // X_i = sum_j index^j * C_j = p(index) * G, derived publicly from commitments.
 Point commitment_eval(const std::vector<Point>& commitments, std::size_t index) {
-  Point acc;  // identity
+  std::vector<std::pair<Uint256, Point>> terms;
+  terms.reserve(commitments.size());
   Uint256 x_pow(1);
   const Uint256 x(index);
   for (const Point& c : commitments) {
-    acc = crypto::point_add(acc, crypto::scalar_mul(x_pow, c));
+    terms.emplace_back(x_pow, c);
     x_pow = crypto::scalar_mul_mod_n(x_pow, x);
   }
-  return acc;
+  return crypto::scalar_mul_sum(terms);
 }
 
 void append_point(Bytes& out, const Point& p) { append_lp(out, crypto::point_encode(p)); }
@@ -74,10 +75,10 @@ DleqProof dleq_prove_with_nonce(const Point& g1, const Point& h1, const Point& g
 bool dleq_verify(const Point& g1, const Point& h1, const Point& g2, const Point& h2,
                  const DleqProof& proof) {
   // a1' = r*g1 + c*h1, a2' = r*g2 + c*h2 must hash back to c.
-  const Point a1 = crypto::point_add(crypto::scalar_mul(proof.r, g1),
-                                     crypto::scalar_mul(proof.c, h1));
-  const Point a2 = crypto::point_add(crypto::scalar_mul(proof.r, g2),
-                                     crypto::scalar_mul(proof.c, h2));
+  const std::pair<Uint256, Point> t1[] = {{proof.r, g1}, {proof.c, h1}};
+  const std::pair<Uint256, Point> t2[] = {{proof.r, g2}, {proof.c, h2}};
+  const Point a1 = crypto::scalar_mul_sum(t1);
+  const Point a2 = crypto::scalar_mul_sum(t2);
   return dleq_challenge(g1, h1, g2, h2, a1, a2) == proof.c;
 }
 
@@ -183,7 +184,8 @@ Result<Point> pvss_combine(const std::vector<PvssDecryptedShare>& shares, std::s
   }
 
   // Lagrange at 0 over Z_n, then combine in the exponent.
-  Point acc;
+  std::vector<std::pair<Uint256, Point>> terms;
+  terms.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
     Uint256 num(1), den(1);
     const Uint256 xi(chosen[i]->index);
@@ -193,10 +195,9 @@ Result<Point> pvss_combine(const std::vector<PvssDecryptedShare>& shares, std::s
       num = crypto::scalar_mul_mod_n(num, xj);
       den = crypto::scalar_mul_mod_n(den, crypto::scalar_sub(xj, xi));
     }
-    const Uint256 lambda = crypto::scalar_mul_mod_n(num, crypto::scalar_inv(den));
-    acc = crypto::point_add(acc, crypto::scalar_mul(lambda, chosen[i]->s));
+    terms.emplace_back(crypto::scalar_mul_mod_n(num, crypto::scalar_inv(den)), chosen[i]->s);
   }
-  return acc;
+  return crypto::scalar_mul_sum(terms);
 }
 
 Point pvss_public_secret(const Uint256& secret) { return crypto::scalar_mul_base(secret); }
