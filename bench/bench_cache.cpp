@@ -114,7 +114,7 @@ Coalescing coalescing_burst(const BenchArgs& args, std::uint64_t seed) {
     auto dep = make_deployment(true, scfs::SyncMode::kBlocking, seed);
     core::AgentOptions opts;
     opts.sync_mode = scfs::SyncMode::kBlocking;
-    opts.writeback.enabled = write_back;
+    opts.write_back = write_back;
     auto& agent = dep.add_user("alice", opts);
     Rng rng(seed ^ 0xB065);
 

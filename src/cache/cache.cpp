@@ -127,12 +127,6 @@ void ClientCache::put_meta(const std::string& path, const MetaEntry& meta) {
   shard.meta[path] = meta;
 }
 
-void ClientCache::erase_meta(const std::string& path) {
-  Shard& shard = shard_for(path);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.meta.erase(path);
-}
-
 bool ClientCache::is_negative(const std::string& path, std::int64_t now_us) const {
   const Shard& shard = shard_for(path);
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -98,7 +98,6 @@ class ClientCache {
 
   std::optional<MetaEntry> get_meta(const std::string& path) const;
   void put_meta(const std::string& path, const MetaEntry& meta);
-  void erase_meta(const std::string& path);
 
   // ---- negative tier ----
 
@@ -128,8 +127,6 @@ class ClientCache {
   std::size_t data_bytes() const;
   std::size_t meta_entries() const;
   std::size_t negative_entries() const;
-  std::size_t shard_count() const noexcept { return shards_.size(); }
-  const CacheOptions& options() const noexcept { return options_; }
 
  private:
   struct Shard {

@@ -2,7 +2,7 @@
 
 namespace rockfs::cache {
 
-WriteBackQueue::WriteBackQueue(WriteBackOptions options) : options_(options) {
+WriteBackQueue::WriteBackQueue(bool enabled) : enabled_(enabled) {
   auto& reg = obs::metrics();
   staged_ = &reg.counter("cache.wb.staged");
   coalesced_ = &reg.counter("cache.wb.coalesced");

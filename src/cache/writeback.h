@@ -38,10 +38,6 @@ inline constexpr std::int64_t kFlushDeadlineUs = 500'000;
 /// synchronously (bounds RAM and the crash-loss window).
 inline constexpr std::size_t kDirtyBytesCap = 8u << 20;
 
-struct WriteBackOptions {
-  bool enabled = false;
-};
-
 /// One staged (uncommitted) write. The base fields freeze at the FIRST
 /// staging and survive coalescing: the flush commits base_version + 1 with
 /// log_base as the delta base, regardless of how many closes were absorbed.
@@ -57,10 +53,10 @@ struct DirtyEntry {
 
 class WriteBackQueue {
  public:
-  explicit WriteBackQueue(WriteBackOptions options);
+  /// `enabled` = false: closes commit immediately and nothing is staged.
+  explicit WriteBackQueue(bool enabled);
 
-  bool enabled() const noexcept { return options_.enabled; }
-  const WriteBackOptions& options() const noexcept { return options_; }
+  bool enabled() const noexcept { return enabled_; }
 
   /// Stages `content` for `path`. A fresh path adopts every field of
   /// `entry`; an existing entry keeps its base/first_dirty and only takes
@@ -88,7 +84,7 @@ class WriteBackQueue {
   bool over_cap() const;
 
  private:
-  WriteBackOptions options_;
+  bool enabled_;
   mutable std::mutex mu_;
   std::map<std::string, DirtyEntry> entries_;
   std::size_t total_bytes_ = 0;

@@ -549,18 +549,19 @@ Status CloudProvider::lose_object(const std::string& key) {
   return {};
 }
 
+CloudProviderPtr make_provider(const sim::SimClockPtr& clock, std::size_t index,
+                               std::uint64_t seed) {
+  auto profile = sim::LinkProfile::s3_like("cloud-" + std::to_string(index));
+  profile.rtt_us += static_cast<std::int64_t>(index) * 2'000;
+  profile.up_bytes_per_sec *= 1.0 + 0.07 * static_cast<double>(index);
+  return std::make_shared<CloudProvider>(profile.name, clock, profile, seed + 1000 * index);
+}
+
 std::vector<CloudProviderPtr> make_provider_fleet(const sim::SimClockPtr& clock,
                                                   std::size_t count, std::uint64_t seed) {
   std::vector<CloudProviderPtr> fleet;
   fleet.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto profile = sim::LinkProfile::s3_like("cloud-" + std::to_string(i));
-    // Mild heterogeneity across providers, as in a real cloud-of-clouds.
-    profile.rtt_us += static_cast<std::int64_t>(i) * 2'000;
-    profile.up_bytes_per_sec *= 1.0 + 0.07 * static_cast<double>(i);
-    fleet.push_back(std::make_shared<CloudProvider>(profile.name, clock, profile,
-                                                    seed + 1000 * i));
-  }
+  for (std::size_t i = 0; i < count; ++i) fleet.push_back(make_provider(clock, i, seed));
   return fleet;
 }
 

@@ -95,7 +95,6 @@ class CloudProvider {
   // ---- introspection / accounting ----
 
   bool exists(const std::string& key) const { return objects_.contains(key); }
-  std::size_t object_count() const noexcept { return objects_.size(); }
   /// Total bytes currently stored (the Fig. 6 storage metric).
   std::uint64_t stored_bytes() const noexcept;
   sim::TrafficMeter& traffic() noexcept { return traffic_; }
@@ -229,7 +228,13 @@ class CloudProvider {
 
 using CloudProviderPtr = std::shared_ptr<CloudProvider>;
 
-/// Convenience: builds `count` providers with S3-like profiles and distinct seeds.
+/// Provider "cloud-<index>": an S3-like profile with mild heterogeneity
+/// (rtt and uplink grow with the index, as in a real cloud-of-clouds) and
+/// seed `seed + 1000 * index`. Spare providers continue the index past the
+/// initial fleet, so a reconfigured deployment stays in-family.
+CloudProviderPtr make_provider(const sim::SimClockPtr& clock, std::size_t index,
+                               std::uint64_t seed);
+/// Providers 0..count-1 (make_provider).
 std::vector<CloudProviderPtr> make_provider_fleet(const sim::SimClockPtr& clock,
                                                   std::size_t count, std::uint64_t seed);
 

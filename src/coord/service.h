@@ -49,7 +49,6 @@ class CoordinationService {
   /// entry.
   sim::FaultSchedule& replica_faults(std::size_t i) { return *faults_.at(i); }
   void set_replica_down(std::size_t i, bool down) { faults_.at(i)->set_down(down); }
-  bool replica_down(std::size_t i) const { return faults_.at(i)->down(); }
 
   /// Durable checkpoint of one replica (the [11] enhancement).
   Bytes checkpoint_replica(std::size_t i) const { return replicas_.at(i)->checkpoint(); }

@@ -64,16 +64,6 @@ FssAggSigner::~FssAggSigner() {
   secure_zero(key_b_);
 }
 
-void FssAggSigner::rekey(FssAggKeys fresh) {
-  if (fresh.a1.size() != 32 || fresh.b1.size() != 32) {
-    throw std::invalid_argument("FssAggSigner::rekey: keys must be 32 bytes");
-  }
-  secure_zero(key_a_);
-  secure_zero(key_b_);
-  key_a_ = std::move(fresh.a1);
-  key_b_ = std::move(fresh.b1);
-}
-
 FssAggTag FssAggSigner::append(BytesView entry) {
   FssAggTag tag;
   tag.mac_a = entry_mac(key_a_, count_, entry);

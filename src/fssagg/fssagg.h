@@ -62,12 +62,6 @@ class FssAggSigner {
   /// MACs into both aggregates, evolves the keys, and returns the entry tags.
   FssAggTag append(BytesView entry);
 
-  /// Chain rotation: wipes the current keys and installs `fresh` while
-  /// keeping the aggregates and entry count, so one continuous aggregate
-  /// spans the key change. The verifier switches streams at the same index
-  /// (fssagg_verify_rotated).
-  void rekey(FssAggKeys fresh);
-
   /// Current aggregate of the A / B chain (valid over `count()` entries).
   const Bytes& aggregate_a() const noexcept { return agg_a_; }
   const Bytes& aggregate_b() const noexcept { return agg_b_; }

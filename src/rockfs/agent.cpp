@@ -1,24 +1,32 @@
 #include "rockfs/agent.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 
 #include "common/logging.h"
+#include "rockfs/deployment.h"
 
 namespace rockfs::core {
 
-RockFsAgent::RockFsAgent(std::string user_id, std::vector<cloud::CloudProviderPtr> clouds,
-                         std::shared_ptr<coord::CoordinationService> coordination,
-                         sim::SimClockPtr clock, AgentOptions options,
-                         std::vector<crypto::Point> holder_pubs,
+RockFsAgent::RockFsAgent(const Deployment& deployment, std::string user_id,
+                         AgentOptions options, std::vector<crypto::Point> holder_pubs,
                          std::size_t holder_threshold)
     : user_id_(std::move(user_id)),
-      clouds_(std::move(clouds)),
-      coordination_(std::move(coordination)),
-      clock_(std::move(clock)),
       options_(std::move(options)),
+      clouds_(deployment.clouds()),
+      coordination_(deployment.coordination()),
+      clock_(deployment.clock()),
+      crash_(deployment.crash_schedule()),
+      executor_(deployment.executor()),
+      witness_(deployment.witness()),
+      trusted_writers_{deployment.admin_public_key()},
+      membership_epoch_(deployment.membership_epoch()),
       holder_pubs_(std::move(holder_pubs)),
-      holder_threshold_(holder_threshold) {}
+      holder_threshold_(holder_threshold),
+      cache_(options_.enable_cache
+                 ? std::make_shared<cache::ClientCache>(options_.cache_config)
+                 : nullptr) {}
 
 Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& material) {
   // Gather whatever holders are available; k of them suffice.
@@ -41,32 +49,25 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   // Storage stack: DepSky over the cloud fleet, writing as PR_U.
   depsky::DepSkyConfig cfg;
   cfg.clouds = clouds_;
-  cfg.f = options_.f;
+  cfg.f = (clouds_.size() - 1) / 3;  // n = 3f+1
   cfg.protocol = options_.protocol;
   cfg.writer = crypto::keypair_from_private(keystore_->user_private_key);
-  cfg.trusted_writers = options_.trusted_writers;
-  cfg.executor = options_.executor;
-  cfg.witness = options_.witness;
+  cfg.trusted_writers = trusted_writers_;
+  cfg.executor = executor_;
+  cfg.witness = witness_;
   cfg.session = session_id;
-  cfg.membership_epoch = options_.membership_epoch;
+  cfg.membership_epoch = membership_epoch_;
   storage_ = std::make_shared<depsky::DepSkyClient>(std::move(cfg), drbg_->generate(32));
 
-  if (options_.enable_cache && !cache_) {
-    // First login mints the per-USER cache; later sessions reuse the handle
-    // so sealed entries survive re-logins (a rotated key just makes the
-    // stale ones fail open on hit).
-    cache_ = options_.cache ? options_.cache
-                            : std::make_shared<cache::ClientCache>(options_.cache_config);
-  }
-
+  // Every session shares the per-USER cache, so sealed entries survive
+  // re-logins (a rotated key just makes the stale ones fail open on hit).
   scfs::ScfsOptions fs_opts;
   fs_opts.sync_mode = options_.sync_mode;
   fs_opts.user_id = user_id_;
   fs_opts.session_id = session_id;
   fs_opts.lease_ttl_us = options_.lease_ttl_us;
-  fs_opts.use_cache = options_.enable_cache;
   fs_opts.cache = cache_;
-  fs_opts.writeback = options_.writeback;
+  fs_opts.write_back = options_.write_back;
   fs_ = std::make_unique<scfs::Scfs>(storage_, keystore_->file_tokens, coordination_,
                                      clock_, fs_opts);
 
@@ -90,7 +91,7 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
                              /*drop_entries=*/false);
   }
 
-  fs_->set_crash_schedule(options_.crash);
+  fs_->set_crash_schedule(crash_);
 
   if (options_.enable_logging) {
     // Resume the chain where a previous session left off (the aggregates
@@ -100,7 +101,7 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
     log_ = make_resumed_log_service(
         user_id_, storage_, keystore_->log_tokens, coordination_, clock_,
         fssagg::FssAggKeys{keystore_->fssagg_key_a, keystore_->fssagg_key_b},
-        LogServiceOptions{/*enable_journal=*/true, options_.crash,
+        LogServiceOptions{/*enable_journal=*/true, crash_,
                           keystore_->fssagg_base_count});
     log_->set_compression(options_.compress_log);
     fs_->set_close_intent_hook(
@@ -141,11 +142,19 @@ void RockFsAgent::logout() {
   keystore_.reset();  // the in-RAM keystore is wiped
 }
 
-namespace {
-Status not_logged_in() { return {ErrorCode::kPermissionDenied, "agent: not logged in"}; }
-}  // namespace
+template <typename Call>
+std::invoke_result_t<Call&, scfs::Scfs&> RockFsAgent::guarded(Call&& call) {
+  if (!fs_) return Error{ErrorCode::kPermissionDenied, "agent: not logged in"};
+  // Any SCFS call can hit an armed crash point (namespace operations and
+  // opens piggyback a due write-back flush), and every one lands the same way.
+  try {
+    return call(*fs_);
+  } catch (const sim::ClientCrash& crash) {
+    return crash_landing(crash);
+  }
+}
 
-Status RockFsAgent::crash_landing(const sim::ClientCrash& crash) {
+Error RockFsAgent::crash_landing(const sim::ClientCrash& crash) {
   // The simulated client process died mid-operation: everything in RAM —
   // keystore, signer state, open files, cache — is gone. The next login
   // replays the intent journal and repairs whatever the crash left behind.
@@ -153,8 +162,8 @@ Status RockFsAgent::crash_landing(const sim::ClientCrash& crash) {
                     << sim::crash_point_name(crash.point));
   if (fs_) fs_->discard_dirty();  // a dead process cannot flush its RAM
   logout();
-  return Status{ErrorCode::kCrashed,
-                std::string("client crashed at ") + sim::crash_point_name(crash.point)};
+  return Error{ErrorCode::kCrashed,
+               std::string("client crashed at ") + sim::crash_point_name(crash.point)};
 }
 
 scfs::Scfs& RockFsAgent::fs() {
@@ -175,129 +184,96 @@ Bytes RockFsAgent::current_session_key() {
 }
 
 Result<RockFsAgent::Fd> RockFsAgent::create(const std::string& path) {
-  if (!fs_) return Error{not_logged_in().error()};
-  // Namespace operations can piggyback a due write-back flush, so any of
-  // them can hit an armed crash point — same dead-client landing as close.
-  try {
-    return fs_->create(path);
-  } catch (const sim::ClientCrash& crash) {
-    return Error{crash_landing(crash).error()};
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.create(path); });
 }
 
 Result<RockFsAgent::Fd> RockFsAgent::open(const std::string& path) {
-  if (!fs_) return Error{not_logged_in().error()};
-  try {
-    return fs_->open(path);
-  } catch (const sim::ClientCrash& crash) {
-    return Error{crash_landing(crash).error()};
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.open(path); });
 }
 
 Result<Bytes> RockFsAgent::read(Fd fd, std::size_t offset, std::size_t length) {
-  if (!fs_) return Error{not_logged_in().error()};
-  return fs_->read(fd, offset, length);
+  return guarded([&](scfs::Scfs& fs) { return fs.read(fd, offset, length); });
 }
 
 Status RockFsAgent::write(Fd fd, std::size_t offset, BytesView data) {
-  if (!fs_) return not_logged_in();
-  return fs_->write(fd, offset, data);
+  return guarded([&](scfs::Scfs& fs) { return fs.write(fd, offset, data); });
 }
 
 Status RockFsAgent::append(Fd fd, BytesView data) {
-  if (!fs_) return not_logged_in();
-  return fs_->append(fd, data);
+  return guarded([&](scfs::Scfs& fs) { return fs.append(fd, data); });
 }
 
 Status RockFsAgent::truncate(Fd fd, std::size_t size) {
-  if (!fs_) return not_logged_in();
-  return fs_->truncate(fd, size);
+  return guarded([&](scfs::Scfs& fs) { return fs.truncate(fd, size); });
 }
 
 Status RockFsAgent::close(Fd fd) {
-  if (!fs_) return not_logged_in();
-  try {
-    return fs_->close(fd);
-  } catch (const sim::ClientCrash& crash) {
-    return crash_landing(crash);
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.close(fd); });
 }
 
 sim::Timed<Status> RockFsAgent::close_timed(Fd fd) {
-  if (!fs_) return {not_logged_in(), 0};
-  try {
-    return fs_->close_timed(fd);
-  } catch (const sim::ClientCrash& crash) {
-    return {crash_landing(crash), 0};
-  }
+  sim::SimClock::Micros delay = 0;  // stays 0 when the close never ran
+  Status st = guarded([&](scfs::Scfs& fs) {
+    auto closed = fs.close_timed(fd);
+    delay = closed.delay;
+    return closed.value;
+  });
+  return {std::move(st), delay};
 }
 
+namespace {
+
+/// open + read-all + close. The whole opened version: a second coordination
+/// round to learn its size could fail or see a peer's newer, shorter version.
+Result<Bytes> read_whole(scfs::Scfs& fs, const std::string& path) {
+  auto fd = fs.open(path);
+  if (!fd.ok()) return Error{fd.error()};
+  auto content = fs.read(*fd, 0, SIZE_MAX);
+  const Status closed = fs.close(*fd);
+  if (!content.ok()) return content;
+  if (!closed.ok()) return Error{closed.error()};
+  return content;
+}
+
+}  // namespace
+
 Status RockFsAgent::unlink(const std::string& path) {
-  if (!fs_) return not_logged_in();
-  // An unlink is a logged operation too: record a delete entry so recovery
-  // can resurrect the file (threat T1 includes malicious deletion).
-  Bytes old_content;
-  if (options_.enable_logging) {
-    auto current = read_file(path);
-    if (current.ok()) old_content = std::move(*current);
-  }
-  auto st = fs_->unlink(path);
-  if (!st.ok()) return st;
-  if (options_.enable_logging && log_) {
-    try {
-      auto logged = log_->append(path, old_content, {}, 0, "delete");
-      clock_->advance_us(logged.delay);
-      if (!logged.value.ok()) return logged.value;
-    } catch (const sim::ClientCrash& crash) {
-      return crash_landing(crash);
+  return guarded([&](scfs::Scfs& fs) {
+    // An unlink is a logged operation too: record a delete entry so recovery
+    // can resurrect the file (threat T1 includes malicious deletion). The
+    // read runs inside this guard, so a crash in it ends the unlink as well.
+    Bytes old_content;
+    if (log_) {
+      if (auto current = read_whole(fs, path); current.ok()) old_content = std::move(*current);
     }
-  }
-  return {};
+    if (auto st = fs.unlink(path); !st.ok() || !log_) return st;
+    auto logged = log_->append(path, old_content, {}, 0, "delete");
+    clock_->advance_us(logged.delay);
+    return logged.value;
+  });
 }
 
 Result<scfs::FileStat> RockFsAgent::stat(const std::string& path) {
-  if (!fs_) return Error{not_logged_in().error()};
-  try {
-    return fs_->stat(path);
-  } catch (const sim::ClientCrash& crash) {
-    return Error{crash_landing(crash).error()};
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.stat(path); });
 }
 
 Result<std::vector<std::string>> RockFsAgent::readdir(const std::string& prefix) {
-  if (!fs_) return Error{not_logged_in().error()};
-  try {
-    return fs_->readdir(prefix);
-  } catch (const sim::ClientCrash& crash) {
-    return Error{crash_landing(crash).error()};
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.readdir(prefix); });
 }
 
 void RockFsAgent::drain_background() {
-  if (!fs_) return;
-  try {
-    fs_->drain_background();
-  } catch (const sim::ClientCrash& crash) {
-    (void)crash_landing(crash);
-  }
+  (void)guarded([](scfs::Scfs& fs) {
+    fs.drain_background();
+    return Status::Ok();
+  });
 }
 
 Status RockFsAgent::flush(const std::string& path) {
-  if (!fs_) return not_logged_in();
-  try {
-    return fs_->flush(path);
-  } catch (const sim::ClientCrash& crash) {
-    return crash_landing(crash);
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.flush(path); });
 }
 
 Status RockFsAgent::flush_all() {
-  if (!fs_) return not_logged_in();
-  try {
-    return fs_->flush_all();
-  } catch (const sim::ClientCrash& crash) {
-    return crash_landing(crash);
-  }
+  return guarded([](scfs::Scfs& fs) { return fs.flush_all(); });
 }
 
 void RockFsAgent::drop_cache() {
@@ -306,21 +282,11 @@ void RockFsAgent::drop_cache() {
 }
 
 Status RockFsAgent::lock(const std::string& path) {
-  if (!fs_) return not_logged_in();
-  try {
-    return fs_->lock(path);
-  } catch (const sim::ClientCrash& crash) {
-    return crash_landing(crash);
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.lock(path); });
 }
 
 Status RockFsAgent::unlock(const std::string& path) {
-  if (!fs_) return not_logged_in();
-  try {
-    return fs_->unlock(path);
-  } catch (const sim::ClientCrash& crash) {
-    return crash_landing(crash);
-  }
+  return guarded([&](scfs::Scfs& fs) { return fs.unlock(path); });
 }
 
 std::optional<std::uint64_t> RockFsAgent::held_epoch(const std::string& path) const {
@@ -333,46 +299,31 @@ void RockFsAgent::replace_cloud(std::size_t index, cloud::CloudProviderPtr cloud
 }
 
 void RockFsAgent::set_membership_epoch(std::uint64_t epoch) {
-  if (epoch > options_.membership_epoch) options_.membership_epoch = epoch;
+  if (epoch > membership_epoch_) membership_epoch_ = epoch;
   if (storage_) storage_->set_membership_epoch(epoch);
 }
 
 void RockFsAgent::trust_writer(const Bytes& public_key) {
-  for (const auto& w : options_.trusted_writers) {
-    if (w == public_key) {
-      if (storage_) storage_->add_trusted_writer(public_key);
-      return;
-    }
+  if (std::find(trusted_writers_.begin(), trusted_writers_.end(), public_key) ==
+      trusted_writers_.end()) {
+    trusted_writers_.push_back(public_key);
   }
-  options_.trusted_writers.push_back(public_key);
   if (storage_) storage_->add_trusted_writer(public_key);
 }
 
 Status RockFsAgent::write_file(const std::string& path, BytesView content) {
-  if (!fs_) return not_logged_in();
-  auto fd = fs_->create(path);
-  if (!fd.ok() && fd.code() == ErrorCode::kConflict) fd = fs_->open(path);
-  if (!fd.ok()) return Status{fd.error()};
-  if (auto st = fs_->truncate(*fd, 0); !st.ok()) return st;
-  if (auto st = fs_->write(*fd, 0, content); !st.ok()) return st;
-  try {
-    return fs_->close(*fd);
-  } catch (const sim::ClientCrash& crash) {
-    return crash_landing(crash);
-  }
+  return guarded([&](scfs::Scfs& fs) {
+    auto fd = fs.create(path);
+    if (!fd.ok() && fd.code() == ErrorCode::kConflict) fd = fs.open(path);
+    if (!fd.ok()) return Status{fd.error()};
+    if (auto st = fs.truncate(*fd, 0); !st.ok()) return st;
+    if (auto st = fs.write(*fd, 0, content); !st.ok()) return st;
+    return fs.close(*fd);
+  });
 }
 
 Result<Bytes> RockFsAgent::read_file(const std::string& path) {
-  if (!fs_) return Error{not_logged_in().error()};
-  auto fd = fs_->open(path);
-  if (!fd.ok()) return Error{fd.error()};
-  // The whole opened version: a second coordination round to learn its size
-  // could fail or see a peer's newer, shorter version.
-  auto content = fs_->read(*fd, 0, SIZE_MAX);
-  const Status closed = fs_->close(*fd);
-  if (!content.ok()) return content;
-  if (!closed.ok()) return Error{closed.error()};
-  return content;
+  return guarded([&](scfs::Scfs& fs) { return read_whole(fs, path); });
 }
 
 }  // namespace rockfs::core

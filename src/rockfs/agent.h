@@ -4,13 +4,21 @@
 //     PVSS shares (device + coordination service by default, external memory
 //     for recovery) and nothing secret ever touches the simulated disk,
 //   * the SCFS instance, with the encrypting cache transform installed,
+//   * the per-user client cache, built once here and handed to every
+//     session's SCFS (it outlives logouts; revocation drops its contents),
 //   * the log service, wired into SCFS's close path so that the log upload
 //     runs in parallel with the file upload.
+// Every file call goes through one guard: no session → kPermissionDenied,
+// and a crash point fired anywhere beneath it tears the session down and
+// reports kCrashed. The fleet, crash schedule, pool, freshness witness and
+// membership epoch come from the Deployment that builds the agent;
+// AgentOptions holds only the caller's choices.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -21,6 +29,8 @@
 
 namespace rockfs::core {
 
+class Deployment;
+
 struct AgentOptions {
   scfs::SyncMode sync_mode = scfs::SyncMode::kNonBlocking;
   depsky::Protocol protocol = depsky::Protocol::kCA;
@@ -28,39 +38,15 @@ struct AgentOptions {
   bool enable_cache_crypto = true;   // false = plaintext cache (stock SCFS)
   bool compress_log = false;         // LZ-compress ld_fu payloads (§6.2 extension)
   std::int64_t session_key_validity_us = 3'600'000'000;  // 1 virtual hour
-  std::size_t f = 1;
-  /// Additional DepSky writers this agent trusts (the administrator's key,
-  /// so that recovered files verify).
-  std::vector<Bytes> trusted_writers;
-  /// Crash schedule for fault-injection tests: crash points along the close
-  /// path consult it, and a fired crash tears the session down exactly like
-  /// a dead client process (the API call reports kCrashed).
-  sim::CrashSchedulePtr crash;
   /// Lease TTL for advisory locks (scfs/lease.h); an expired lease is
   /// evictable by any contender.
   std::int64_t lease_ttl_us = 30'000'000;
-  /// Thread pool for the DepSky fan-out and per-share encode/seal work
-  /// (common/executor.h); null runs everything inline. Seeded results are
-  /// byte-identical either way (the determinism contract, ARCHITECTURE §11).
-  std::shared_ptr<common::Executor> executor;
-  /// Deployment-wide freshness witness (depsky/metadata.h): every client
-  /// session records the versions each cloud acked or served, so a cloud
-  /// contradicting itself across sessions is caught. Null = private witness.
-  depsky::VersionWitnessPtr witness;
-  /// Cloud-set membership epoch this agent believes current (depsky/
-  /// reconfig.h). Writes fail closed (kFenced) against newer-epoch metadata.
-  std::uint64_t membership_epoch = 0;
   /// Client cache (src/cache, ARCHITECTURE §13). On disables all three tiers.
   bool enable_cache = true;
-  /// Pre-built per-user cache handle. Null = the agent builds a private one
-  /// at first login and keeps it across re-logins (entries survive because
-  /// they are sealed; a rotated key makes stale ones fail open). Deployments
-  /// pass a shared handle so compromise response can drop it from outside.
-  cache::ClientCachePtr cache;
-  /// Sizing/TTL knobs when the agent builds its own cache.
+  /// Sizing/TTL knobs of the per-user cache the agent builds.
   cache::CacheOptions cache_config;
   /// Write-back staging of close()s (off = write-through, the PR ≤9 path).
-  cache::WriteBackOptions writeback;
+  bool write_back = false;
 };
 
 /// Where the agent finds PVSS share-holder keys at login time. The device
@@ -76,9 +62,11 @@ class RockFsAgent {
  public:
   using Fd = scfs::Scfs::Fd;
 
-  RockFsAgent(std::string user_id, std::vector<cloud::CloudProviderPtr> clouds,
-              std::shared_ptr<coord::CoordinationService> coordination,
-              sim::SimClockPtr clock, AgentOptions options,
+  /// Takes the deployment's wiring — fleet (f derives from n = 3f+1),
+  /// coordination service, clock, crash schedule, pool, freshness witness,
+  /// membership epoch, and the admin key as the first trusted writer — and
+  /// builds the per-user cache when `options.enable_cache` is set.
+  RockFsAgent(const Deployment& deployment, std::string user_id, AgentOptions options,
               std::vector<crypto::Point> holder_pubs, std::size_t holder_threshold);
 
   // ---- session lifecycle (paper §4.1) ----
@@ -153,23 +141,38 @@ class RockFsAgent {
   Bytes current_session_key();
   /// Sequence number of the next log entry (== entries logged so far).
   std::uint64_t log_seq() const;
-  const AgentOptions& options() const noexcept { return options_; }
-  /// The per-user cache handle (null before first login / when disabled).
-  /// Outlives sessions: logout keeps it, revocation drops its contents.
+  /// The per-user cache handle (null when disabled). Outlives sessions:
+  /// logout keeps it, revocation drops its contents.
   const cache::ClientCachePtr& cache() const noexcept { return cache_; }
   /// Drops every cache tier for this user (compromise response / tests).
   void drop_cache();
 
  private:
+  /// Runs one file call against the live session: kPermissionDenied
+  /// without one, and a crash point fired inside `call` lands as kCrashed
+  /// (crash_landing). Every public file call goes through here.
+  template <typename Call>
+  std::invoke_result_t<Call&, scfs::Scfs&> guarded(Call&& call);
   /// Turns a fired crash point into the dead-client outcome: the session is
   /// torn down (all in-RAM state dropped) and the call reports kCrashed.
-  Status crash_landing(const sim::ClientCrash& crash);
+  Error crash_landing(const sim::ClientCrash& crash);
 
   std::string user_id_;
+  AgentOptions options_;
   std::vector<cloud::CloudProviderPtr> clouds_;
   std::shared_ptr<coord::CoordinationService> coordination_;
   sim::SimClockPtr clock_;
-  AgentOptions options_;
+  /// Crash points along the close path consult it; a fired crash tears the
+  /// session down exactly like a dead client process.
+  sim::CrashSchedulePtr crash_;
+  std::shared_ptr<common::Executor> executor_;
+  depsky::VersionWitnessPtr witness_;
+  /// DepSky signers this agent trusts: the admin key (so recovered files
+  /// verify), then every peer of the shared namespace in the order added.
+  std::vector<Bytes> trusted_writers_;
+  /// Cloud-set membership epoch this agent believes current (depsky/
+  /// reconfig.h). Writes fail closed (kFenced) against newer-epoch metadata.
+  std::uint64_t membership_epoch_;
   std::vector<crypto::Point> holder_pubs_;
   std::size_t holder_threshold_;
   /// Login counter: each login is a distinct session ("u-s1", "u-s2", ...),
@@ -185,8 +188,10 @@ class RockFsAgent {
   std::unique_ptr<scfs::Scfs> fs_;
   std::unique_ptr<LogService> log_;
   std::shared_ptr<SessionKeyManager> session_keys_;
-  /// Survives logout/login cycles (the whole point of sealing entries); only
-  /// drop_cache(), key rotation, or compromise response empty it.
+  /// Built once, from options_.cache_config, and handed to every login's
+  /// SCFS: survives logout/login cycles (the whole point of sealing
+  /// entries); only drop_cache(), key rotation, or compromise response
+  /// empty it.
   cache::ClientCachePtr cache_;
 };
 

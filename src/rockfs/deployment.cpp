@@ -24,11 +24,6 @@ Deployment::Deployment(DeploymentOptions options)
       crash_(std::make_shared<sim::CrashSchedule>()),
       witness_(std::make_shared<depsky::VersionWitness>()),
       next_spare_(clouds_.size()) {
-  if (options_.agent.f != options_.f) options_.agent.f = options_.f;
-  // Every agent added later (and the admin storage/scrubber) shares the pool.
-  if (executor_ && !options_.agent.executor) options_.agent.executor = executor_;
-  // ... and the freshness witness, so cross-session equivocation is caught.
-  if (!options_.agent.witness) options_.agent.witness = witness_;
   // Spans across this deployment's stack stamp their start times from the
   // deployment's virtual clock.
   obs::tracer().bind_clock(clock_);
@@ -76,33 +71,14 @@ RockFsAgent& Deployment::add_user(const std::string& user_id, const AgentOptions
   us.device_holder = {"device", crypto::generate_keypair(setup_drbg_)};
   us.coordination_holder = {"coordination", crypto::generate_keypair(setup_drbg_)};
   us.external_holder = {"external", crypto::generate_keypair(setup_drbg_)};
-  us.holder_pubs = {us.device_holder.keys.public_key,
-                    us.coordination_holder.keys.public_key,
-                    us.external_holder.keys.public_key};
-  us.sealed = seal_keystore(ks, {us.device_holder, us.coordination_holder,
-                                 us.external_holder},
-                            /*k=*/2, setup_drbg_, /*password=*/{}, executor_.get());
+  for (const auto& holder : us.holders()) us.holder_pubs.push_back(holder.keys.public_key);
+  us.sealed = seal_keystore(ks, us.holders(), /*k=*/2, setup_drbg_, /*password=*/{},
+                            executor_.get());
+  publish_keystore(user_id, /*epoch=*/0, us.sealed).expect("store sealed keystore");
 
-  // The sealed keystore (public) is kept in the coordination service so any
-  // of the user's devices can fetch it. The third field is the keystore
-  // epoch: 0 at setup, bumped by every rotation.
-  auto stored = coordination_->replace(
-      coord::Template::of({"rockks", user_id, "*", "*"}),
-      {"rockks", user_id, "0", base64_encode(us.sealed.serialize())});
-  clock_->advance_us(stored.delay);
-  stored.value.expect("store sealed keystore");
-
-  AgentOptions agent_options = options;
-  agent_options.trusted_writers.push_back(crypto::point_encode(admin_keys_.public_key));
-  if (!agent_options.crash) agent_options.crash = crash_;
-  if (agent_options.enable_cache && !agent_options.cache) {
-    // Per-USER cache handle, minted here (not inside the agent) so the
-    // deployment's compromise response can reach it. Each user gets their
-    // own instance — a handle set by the caller is respected as-is.
-    agent_options.cache = std::make_shared<cache::ClientCache>(agent_options.cache_config);
-  }
-  auto agent = std::make_unique<RockFsAgent>(user_id, clouds_, coordination_, clock_,
-                                             agent_options, us.holder_pubs,
+  // The agent takes the deployment's wiring itself; `options` are only the
+  // caller's choices.
+  auto agent = std::make_unique<RockFsAgent>(*this, user_id, options, us.holder_pubs,
                                              /*threshold=*/2);
   secrets_[user_id] = std::move(us);
   agents_[user_id] = std::move(agent);
@@ -159,6 +135,32 @@ Status Deployment::login_with_external(const std::string& user_id) {
   return agent(user_id).login(us.sealed, material);
 }
 
+Status Deployment::relogin(const std::string& user_id) {
+  auto st = login_default(user_id);
+  if (!st.ok()) st = login_with_external(user_id);
+  return st;
+}
+
+Status Deployment::publish_keystore(const std::string& user_id, std::uint64_t epoch,
+                                    const SealedKeystore& sealed) {
+  // The sealed keystore (public) is kept in the coordination service so any
+  // of the user's devices can fetch it. The third field is the keystore
+  // epoch: 0 at setup, bumped by every rotation.
+  auto stored = coordination_->replace(
+      coord::Template::of({"rockks", user_id, "*", "*"}),
+      {"rockks", user_id, std::to_string(epoch), base64_encode(sealed.serialize())});
+  clock_->advance_us(stored.delay);
+  if (!stored.value.ok()) return Status{stored.value.error()};
+  return Status::Ok();
+}
+
+Result<Keystore> Deployment::admin_unseal(const UserSecrets& us) {
+  // The admin holds the coordination and external holder keys; the device
+  // share may be gone (threat T2).
+  return unseal_keystore(us.sealed, {us.coordination_holder, us.external_holder},
+                         us.holder_pubs, /*k=*/2, setup_drbg_);
+}
+
 std::vector<cloud::AccessToken> Deployment::admin_tokens() {
   std::vector<cloud::AccessToken> tokens;
   tokens.reserve(clouds_.size());
@@ -168,24 +170,29 @@ std::vector<cloud::AccessToken> Deployment::admin_tokens() {
   return tokens;
 }
 
-std::shared_ptr<depsky::DepSkyClient> Deployment::make_admin_storage() {
+std::shared_ptr<depsky::DepSkyClient> Deployment::make_admin_storage(
+    std::vector<Bytes> trusted_writers, std::string session) {
   depsky::DepSkyConfig storage_cfg;
   storage_cfg.clouds = clouds_;
   storage_cfg.f = options_.f;
   storage_cfg.protocol = options_.agent.protocol;
   storage_cfg.writer = admin_keys_;
-  // The admin reads units written by any user: trust every signer.
-  for (const auto& [other_id, other_secrets] : secrets_) {
-    (void)other_id;
-    storage_cfg.trusted_writers.push_back(
-        crypto::point_encode(other_secrets.user_public_key));
-  }
+  storage_cfg.trusted_writers = std::move(trusted_writers);
   storage_cfg.executor = executor_;
   storage_cfg.witness = witness_;
-  storage_cfg.session = "admin";
+  storage_cfg.session = std::move(session);
   storage_cfg.membership_epoch = membership_epoch_;
   return std::make_shared<depsky::DepSkyClient>(std::move(storage_cfg),
                                                 setup_drbg_.generate(32));
+}
+
+std::vector<Bytes> Deployment::user_signers() const {
+  std::vector<Bytes> signers;
+  for (const auto& [user_id, us] : secrets_) {
+    (void)user_id;
+    signers.push_back(crypto::point_encode(us.user_public_key));
+  }
+  return signers;
 }
 
 RecoveryService Deployment::make_recovery_service(const std::string& user_id) {
@@ -206,8 +213,8 @@ RecoveryService Deployment::make_recovery_service(const std::string& user_id) {
     if (other_id != user_id) cfg.peer_chain_rotations[other_id] = other_secrets.rotations;
   }
 
-  RecoveryService service(user_id, std::move(cfg), make_admin_storage(), coordination_,
-                          clock_);
+  RecoveryService service(user_id, std::move(cfg), make_admin_storage(user_signers(), "admin"),
+                          coordination_, clock_);
   service.set_crash_schedule(crash_);
   return service;
 }
@@ -285,8 +292,8 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
         us.rotations.empty() ? us.chain_keys : us.rotations.back().keys;
     LogServiceOptions log_opts;
     log_opts.key_base_count = us.rotations.empty() ? 0 : us.rotations.back().at_seq + 1;
-    auto log = make_resumed_log_service(user_id, make_admin_storage(), admin,
-                                        coordination_, clock_, stream_keys, log_opts);
+    auto log = make_resumed_log_service(user_id, make_admin_storage(user_signers(), "admin"),
+                                        admin, coordination_, clock_, stream_keys, log_opts);
 
     auto aggs = read_aggregates(*coordination_, user_id);
     clock_->advance_us(aggs.delay);
@@ -335,9 +342,7 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
       // Fresh mint. Reissue both token families at the new epoch; a cloud
       // that cannot reissue (outage) keeps its old token in the keystore —
       // DepSky masks up to f such clouds and the next rotation refreshes.
-      auto old_ks = unseal_keystore(us.sealed,
-                                    {us.coordination_holder, us.external_holder},
-                                    us.holder_pubs, /*k=*/2, setup_drbg_);
+      auto old_ks = admin_unseal(us);
       if (!old_ks.ok()) return Error{old_ks.error()};
 
       std::vector<cloud::AccessToken> file_tokens;
@@ -357,9 +362,8 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
           clock_->now_us() + options_.agent.session_key_validity_us;
       us.pending_rotation.rotation = rotate_keystore(
           *old_ks, std::move(file_tokens), std::move(log_tokens),
-          setup_drbg_.generate_key(), session_expiry, chain_count + 1,
-          {us.device_holder, us.coordination_holder, us.external_holder}, /*k=*/2,
-          setup_drbg_);
+          setup_drbg_.generate_key(), session_expiry, chain_count + 1, us.holders(),
+          /*k=*/2, setup_drbg_);
       us.pending_rotation.manifest =
           make_rotation_manifest(user_id, next_epoch, log->next_seq(),
                                  us.pending_rotation.rotation.chain_keys, admin_keys_);
@@ -410,12 +414,10 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
     // 7. Publish the resealed keystore (fresh PVSS deal: new polynomial,
     //    same holders, old shares useless) and the fresh session key digest
     //    (the stolen S_U stops validating).
-    auto stored = coordination_->replace(
-        coord::Template::of({"rockks", user_id, "*", "*"}),
-        {"rockks", user_id, std::to_string(epoch),
-         base64_encode(us.pending_rotation.rotation.sealed.serialize())});
-    clock_->advance_us(stored.delay);
-    if (!stored.value.ok()) return Error{stored.value.error()};
+    if (auto st = publish_keystore(user_id, epoch, us.pending_rotation.rotation.sealed);
+        !st.ok()) {
+      return Error{st.error()};
+    }
     if (crash_) crash_->maybe_crash(sim::CrashPoint::kAfterKeystoreReseal);
 
     auto session = publish_session_key(
@@ -437,9 +439,7 @@ Result<Deployment::CompromiseResponse> Deployment::respond_to_compromise(
     // 8. The honest client logs back in from the new deal (the holder keys
     //    are unchanged — only the shares were refreshed).
     if (agents_.contains(user_id)) {
-      auto st = login_default(user_id);
-      if (!st.ok()) st = login_with_external(user_id);
-      if (!st.ok()) return Error{st.error()};
+      if (auto st = relogin(user_id); !st.ok()) return Error{st.error()};
     }
     out.rotation_us = static_cast<sim::SimClock::Micros>(clock_->now_us() - rot_start);
     return out;
@@ -490,21 +490,10 @@ Result<Deployment::VerdictOutcome> Deployment::apply_audit_verdict(
 }
 
 LogScrubber Deployment::make_scrubber(const std::string& user_id, ScrubOptions options) {
-  auto& us = secrets(user_id);
-  depsky::DepSkyConfig storage_cfg;
-  storage_cfg.clouds = clouds_;
-  storage_cfg.f = options_.f;
-  storage_cfg.protocol = options_.agent.protocol;
-  storage_cfg.writer = admin_keys_;
   // The scrubber reads (and repairs) units written by the user and by the
   // admin chain: trust both signers.
-  storage_cfg.trusted_writers.push_back(crypto::point_encode(us.user_public_key));
-  storage_cfg.executor = executor_;
-  storage_cfg.witness = witness_;
-  storage_cfg.session = "scrub";
-  storage_cfg.membership_epoch = membership_epoch_;
-  auto storage = std::make_shared<depsky::DepSkyClient>(std::move(storage_cfg),
-                                                        setup_drbg_.generate(32));
+  auto storage =
+      make_admin_storage({crypto::point_encode(secrets(user_id).user_public_key)}, "scrub");
   return LogScrubber(user_id, std::move(storage), admin_tokens(), coordination_, clock_,
                      options);
 }
@@ -521,17 +510,6 @@ std::size_t Deployment::quarantined_cloud() const {
   return kNoCloud;
 }
 
-cloud::CloudProviderPtr Deployment::make_spare_cloud() {
-  const std::size_t idx = next_spare_++;
-  auto profile = sim::LinkProfile::s3_like("cloud-" + std::to_string(idx));
-  // Same heterogeneity formula as make_provider_fleet, continued past the
-  // initial fleet, so a reconfigured deployment stays in-family.
-  profile.rtt_us += static_cast<std::int64_t>(idx) * 2'000;
-  profile.up_bytes_per_sec *= 1.0 + 0.07 * static_cast<double>(idx);
-  return std::make_shared<cloud::CloudProvider>(profile.name, clock_, profile,
-                                                options_.seed + 1000 * idx);
-}
-
 Status Deployment::adopt_spare_tokens(std::size_t slot,
                                       const cloud::CloudProviderPtr& spare) {
   const auto spare_admin =
@@ -545,22 +523,15 @@ Status Deployment::adopt_spare_tokens(std::size_t slot,
       clock_->advance_us(floored.delay);
       if (!floored.value.ok()) return Status{floored.value.error()};
     }
-    auto ks = unseal_keystore(us.sealed, {us.coordination_holder, us.external_holder},
-                              us.holder_pubs, /*k=*/2, setup_drbg_);
+    auto ks = admin_unseal(us);
     if (!ks.ok()) return Status{ks.error()};
     ks->file_tokens[slot] =
         spare->issue_token(user_id, options_.fs_id, cloud::TokenScope::kFiles);
     ks->log_tokens[slot] =
         spare->issue_token(user_id, options_.fs_id, cloud::TokenScope::kLogAppend);
-    us.sealed = seal_keystore(*ks, {us.device_holder, us.coordination_holder,
-                                    us.external_holder},
-                              /*k=*/2, setup_drbg_, /*password=*/{}, executor_.get());
-    auto stored = coordination_->replace(
-        coord::Template::of({"rockks", user_id, "*", "*"}),
-        {"rockks", user_id, std::to_string(us.keystore_epoch),
-         base64_encode(us.sealed.serialize())});
-    clock_->advance_us(stored.delay);
-    if (!stored.value.ok()) return Status{stored.value.error()};
+    us.sealed = seal_keystore(*ks, us.holders(), /*k=*/2, setup_drbg_, /*password=*/{},
+                              executor_.get());
+    if (auto st = publish_keystore(user_id, us.keystore_epoch, us.sealed); !st.ok()) return st;
   }
   return Status::Ok();
 }
@@ -597,7 +568,7 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     // 1. Stage the manifest and the spare (durably, on the admin's disk) so
     //    a crashed pipeline resumes the same epoch instead of re-minting.
     if (!pending_reconfig_.active) {
-      auto spare = make_spare_cloud();
+      auto spare = cloud::make_provider(clock_, next_spare_++, options_.seed);
       std::vector<std::string> old_names;
       old_names.reserve(clouds_.size());
       for (const auto& c : clouds_) old_names.push_back(c->name());
@@ -673,7 +644,7 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     //    epoch stamped into their metadata, and a per-unit done-marker makes
     //    the walk crash-resumable. Both repair and stamp are idempotent, so
     //    a unit interrupted between steps converges on the re-run.
-    auto storage = make_admin_storage();
+    auto storage = make_admin_storage(user_signers(), "admin");
     const auto admin = admin_tokens();
     const auto units = enumerate_units(replaced_index);
     out.units_total = units.size();
@@ -711,13 +682,10 @@ Result<Deployment::ReconfigurationReport> Deployment::reconfigure_cloud(
     // 5. Adopt the epoch everywhere and bring every agent back up over the
     //    new fleet (their next writes carry — and fence on — the new epoch).
     membership_epoch_ = epoch;
-    options_.agent.membership_epoch = std::max(options_.agent.membership_epoch, epoch);
     for (auto& [user_id, agent] : agents_) {
       agent->set_membership_epoch(epoch);
       if (agent->logged_in()) agent->logout();
-      auto st = login_default(user_id);
-      if (!st.ok()) st = login_with_external(user_id);
-      if (!st.ok()) return Error{st.error()};
+      if (auto st = relogin(user_id); !st.ok()) return Error{st.error()};
     }
     pending_reconfig_ = {};
     out.duration_us = static_cast<sim::SimClock::Micros>(clock_->now_us() - t0);

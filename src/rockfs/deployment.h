@@ -23,7 +23,7 @@ struct DeploymentOptions {
   std::size_t f = 1;  // clouds and coordination replicas are both 3f+1
   std::uint64_t seed = 2018;
   std::string fs_id = "rockfs";
-  AgentOptions agent;  // defaults applied to every user added
+  AgentOptions agent;  // what add_user(id) gives every user it adds
   /// > 0: the deployment owns one shared thread pool of this many workers
   /// and hands it to every agent, the admin storage and the scrubber, so
   /// the whole stack (including the SCFS close path) fans out for real.
@@ -37,7 +37,7 @@ class Deployment {
   explicit Deployment(DeploymentOptions options = {});
 
   const sim::SimClockPtr& clock() const noexcept { return clock_; }
-  std::vector<cloud::CloudProviderPtr>& clouds() noexcept { return clouds_; }
+  const std::vector<cloud::CloudProviderPtr>& clouds() const noexcept { return clouds_; }
   const std::shared_ptr<coord::CoordinationService>& coordination() const noexcept {
     return coordination_;
   }
@@ -45,7 +45,9 @@ class Deployment {
   /// Provisions a user end-to-end (paper setup flow): issues t_u/t_l at
   /// every cloud, generates PR_U and the FssAgg keys, builds and seals the
   /// keystore among {device, coordination, external} holders (k = 2 of 3),
-  /// stores the sealed keystore, and logs the agent in.
+  /// stores the sealed keystore, and logs the agent in. Either overload
+  /// wires the agent to this deployment (RockFsAgent's constructor); only
+  /// the caller's choices come from `options` (default: DeploymentOptions::agent).
   RockFsAgent& add_user(const std::string& user_id);
   RockFsAgent& add_user(const std::string& user_id, const AgentOptions& options);
 
@@ -60,10 +62,11 @@ class Deployment {
   /// them to full n-share redundancy.
   LogScrubber make_scrubber(const std::string& user_id, ScrubOptions options = {});
 
-  /// Deployment-wide crash schedule: agents created by add_user (unless
-  /// their AgentOptions carry their own) and recovery services consult it.
-  /// Tests arm one crash point on it and drive the workload.
+  /// Deployment-wide crash schedule: every agent and recovery service
+  /// consults it. Tests arm one crash point on it and drive the workload.
   const sim::CrashSchedulePtr& crash_schedule() const noexcept { return crash_; }
+  /// Shared fan-out pool (null when executor_threads == 0).
+  const std::shared_ptr<common::Executor>& executor() const noexcept { return executor_; }
 
   // ---- client-device modelling (for the T2/T3 attack scenarios) ----
 
@@ -77,6 +80,11 @@ class Deployment {
     fssagg::FssAggKeys chain_keys;         // admin's copy of (A_1, B_1)
     crypto::Point user_public_key;         // PU_U
     bool device_share_destroyed = false;
+
+    /// Every PVSS holder, in share order: device, coordination, external.
+    std::vector<ShareHolder> holders() const {
+      return {device_holder, coordination_holder, external_holder};
+    }
 
     // ---- credential-revocation state (revocation.h) ----
 
@@ -217,13 +225,23 @@ class Deployment {
   Result<ReconfigurationReport> reconfigure_cloud(std::size_t replaced_index);
 
  private:
-  /// DepSky client writing as the admin and trusting every user's signer
-  /// (shared by the recovery service and the rotation pipeline).
-  std::shared_ptr<depsky::DepSkyClient> make_admin_storage();
+  /// DepSky client writing as the admin and trusting `trusted_writers`;
+  /// `session` names it to the freshness witness. Recovery, rotation and
+  /// reconfiguration use {user_signers(), "admin"}, the scrubber
+  /// {its user's signer, "scrub"}.
+  std::shared_ptr<depsky::DepSkyClient> make_admin_storage(std::vector<Bytes> trusted_writers,
+                                                           std::string session);
+  /// Every user's DepSky signer, in user-id order.
+  std::vector<Bytes> user_signers() const;
 
-  /// Provisions a fresh provider ("cloud-4", "cloud-5", ...) with the same
-  /// S3-like heterogeneity formula as the initial fleet.
-  cloud::CloudProviderPtr make_spare_cloud();
+  /// login_default, falling back to login_with_external.
+  Status relogin(const std::string& user_id);
+  /// Writes the user's "rockks" tuple: the sealed keystore at `epoch`.
+  Status publish_keystore(const std::string& user_id, std::uint64_t epoch,
+                          const SealedKeystore& sealed);
+  /// Unseals the user's keystore admin-side, from the coordination and
+  /// external holders.
+  Result<Keystore> admin_unseal(const UserSecrets& us);
 
   /// Mints tokens for every user at the spare and reseals their keystores
   /// with the slot's tokens replaced (same holders, same keystore epoch).

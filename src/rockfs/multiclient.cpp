@@ -53,7 +53,7 @@ MultiClientReport run_multiclient_soak(const MultiClientOptions& options) {
   dopt.agent.sync_mode = scfs::SyncMode::kBlocking;
   dopt.agent.lease_ttl_us = options.lease_ttl_us;
   dopt.agent.enable_cache = options.client_cache;
-  dopt.agent.writeback.enabled = options.write_back;
+  dopt.agent.write_back = options.write_back;
   dopt.executor_threads = options.executor_threads;
   Soak soak(dopt, options.seed * 7919 + 17);
   auto& dep = soak.dep();

@@ -71,11 +71,8 @@ Scfs::Scfs(std::shared_ptr<depsky::DepSkyClient> storage,
       clock_(std::move(clock)),
       options_(std::move(options)),
       transform_(std::make_shared<PassthroughTransform>()),
-      wb_(options_.writeback) {
-  if (options_.use_cache) {
-    cache_ = options_.cache ? options_.cache
-                            : std::make_shared<cache::ClientCache>(options_.cache_config);
-  }
+      cache_(options_.cache),
+      wb_(options_.write_back) {
   auto& reg = obs::metrics();
   close_count_ = &reg.counter("scfs.close.count");
   close_bytes_ = &reg.counter("scfs.close.bytes");

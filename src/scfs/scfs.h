@@ -95,15 +95,12 @@ inline constexpr double kUplinkContention = 0.2;
 
 struct ScfsOptions {
   SyncMode sync_mode = SyncMode::kNonBlocking;
-  bool use_cache = true;
   /// Shared per-user cache handle (survives re-logins; rotation/revocation
-  /// drop it through the agent/deployment hooks). Null + use_cache=true →
-  /// the instance builds a private cache from `cache_config`.
+  /// drop it through the agent/deployment hooks). Null = no cache.
   cache::ClientCachePtr cache;
-  cache::CacheOptions cache_config;
   /// Write-back coalescing (off by default: every dirty close commits
   /// through the full pipeline immediately — the PR 3/PR 4 behavior).
-  cache::WriteBackOptions writeback;
+  bool write_back = false;
   std::string user_id = "user";
   /// Session id: distinguishes re-logins of the same user. A lease names
   /// (holder, session), so a restarted client cannot silently reuse a lease
@@ -188,7 +185,6 @@ class Scfs {
   /// compromise response). Returns the number of entries discarded.
   std::size_t discard_dirty();
   std::size_t dirty_entries() const { return wb_.entries(); }
-  std::size_t dirty_bytes() const { return wb_.total_bytes(); }
 
   // ---- sync-mode plumbing ----
 
@@ -228,10 +224,9 @@ class Scfs {
   /// Direct cache inspection for tests and the attack driver.
   std::optional<Bytes> cached_raw(const std::string& path) const;
   void poke_cache(const std::string& path, Bytes raw);
-  /// The shared cache handle (null when use_cache is off).
+  /// The shared cache handle (null = no cache).
   const cache::ClientCachePtr& cache() const noexcept { return cache_; }
 
-  const ScfsOptions& options() const noexcept { return options_; }
   std::shared_ptr<depsky::DepSkyClient> storage() const noexcept { return storage_; }
   std::shared_ptr<coord::CoordinationService> coordination() const noexcept {
     return coordination_;
@@ -294,7 +289,7 @@ class Scfs {
   CloseInterceptor intent_hook_;
   sim::CrashSchedulePtr crash_;
 
-  cache::ClientCachePtr cache_;  // null when use_cache is off
+  cache::ClientCachePtr cache_;  // null = no cache
   cache::WriteBackQueue wb_;
 
   std::map<Fd, OpenFile> open_files_;

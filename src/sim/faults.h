@@ -127,7 +127,6 @@ class FaultSchedule {
   /// group split.
   void set_adversarial(AdversarialMode mode, SimClock::Micros window_us = 0,
                        std::uint64_t partition_salt = 0);
-  void clear_adversarial() noexcept { adversarial_ = AdversarialSpec{}; }
   const AdversarialSpec& adversarial() const noexcept { return adversarial_; }
   bool adversarial_active() const noexcept {
     return adversarial_.mode != AdversarialMode::kNone;
@@ -240,7 +239,6 @@ class CrashSchedule {
   void arm_hang(CrashPoint point, SimClock::Micros duration_us,
                 std::uint64_t skip_hits = 0);
   void disarm_hang() noexcept { hang_armed_ = false; }
-  bool hang_armed() const noexcept { return hang_armed_; }
   /// Clock the hang advances. The schedule keeps only a reference; one
   /// schedule serves every client of one deployment, which shares one clock.
   void bind_clock(SimClockPtr clock) noexcept { clock_ = std::move(clock); }

@@ -70,18 +70,6 @@ SimClock::Micros NetworkModel::rpc_delay_us(std::size_t request_bytes,
   return jitter(profile_.rtt_us + profile_.request_overhead_us + up + down);
 }
 
-SimClock::Micros NetworkModel::charge_upload(std::size_t bytes) {
-  const auto d = upload_delay_us(bytes);
-  clock_->advance_us(d);
-  return d;
-}
-
-SimClock::Micros NetworkModel::charge_download(std::size_t bytes) {
-  const auto d = download_delay_us(bytes);
-  clock_->advance_us(d);
-  return d;
-}
-
 SimClock::Micros NetworkModel::charge_rpc(std::size_t request_bytes,
                                           std::size_t response_bytes) {
   const auto d = rpc_delay_us(request_bytes, response_bytes);

@@ -40,9 +40,7 @@ class NetworkModel {
   /// Delay of a small metadata round trip.
   SimClock::Micros rpc_delay_us(std::size_t request_bytes, std::size_t response_bytes);
 
-  /// Advances the clock as if the given transfer just happened, returns the delay.
-  SimClock::Micros charge_upload(std::size_t bytes);
-  SimClock::Micros charge_download(std::size_t bytes);
+  /// Advances the clock as if the given round trip just happened, returns the delay.
   SimClock::Micros charge_rpc(std::size_t request_bytes, std::size_t response_bytes);
 
   const LinkProfile& profile() const noexcept { return profile_; }

@@ -93,9 +93,7 @@ TEST(ClientCacheUnit, DropAllClearsEveryTierAndBumpsGeneration) {
 }
 
 TEST(WriteBackUnit, CoalescingFreezesBaseAndCountsAbsorbedCloses) {
-  cache::WriteBackOptions opt;
-  opt.enabled = true;
-  cache::WriteBackQueue q(opt);
+  cache::WriteBackQueue q(/*enabled=*/true);
 
   cache::DirtyEntry first;
   first.content = to_bytes("v1");
@@ -216,7 +214,7 @@ TEST(NegativeCache, ObservingPeerTupleInvalidatesCachedMiss) {
 AgentOptions writeback_agent() {
   AgentOptions opt;
   opt.sync_mode = scfs::SyncMode::kBlocking;
-  opt.writeback.enabled = true;
+  opt.write_back = true;
   return opt;
 }
 
@@ -259,7 +257,7 @@ TEST(WriteBack, FencedWritersDirtyEntryIsRejectedAndDropped) {
   dopt.agent.lease_ttl_us = 5'000'000;
   Deployment dep(dopt);
   AgentOptions wb = dopt.agent;
-  wb.writeback.enabled = true;
+  wb.write_back = true;
   auto& alice = dep.add_user("alice", wb);
   auto& bob = dep.add_user("bob");
 
@@ -297,7 +295,7 @@ TEST(WriteBack, CloseToOpenConsistencyAcrossLeaseHandoff) {
       dopt.seed = seed;
       dopt.executor_threads = threads;
       dopt.agent.sync_mode = scfs::SyncMode::kBlocking;
-      dopt.agent.writeback.enabled = true;
+      dopt.agent.write_back = true;
       Deployment dep(dopt);
       auto& alice = dep.add_user("alice");
       auto& bob = dep.add_user("bob");

@@ -621,6 +621,7 @@ struct LeaseResilienceTest : ::testing::Test {
   scfs::Scfs make_fs(const std::string& user, const std::string& session) {
     scfs::ScfsOptions opts;
     opts.sync_mode = scfs::SyncMode::kBlocking;
+    opts.cache = std::make_shared<cache::ClientCache>();
     opts.user_id = user;
     opts.session_id = session;
     opts.lease_ttl_us = 5'000'000;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "rockfs/attack.h"
@@ -138,6 +143,35 @@ TEST(Deployment, UsersAreIsolated) {
   ASSERT_TRUE(bob.write_file("/his", to_bytes("bob data")).ok());
   EXPECT_EQ(alice.log_seq(), 1u);
   EXPECT_EQ(bob.log_seq(), 1u);
+}
+
+TEST(Deployment, EveryAddedUserGetsTheDeploymentWiring) {
+  // f = 2 (seven clouds) and a two-thread pool: whichever add_user overload
+  // adds a user, their storage runs the deployment's quorum maths, shares
+  // its freshness witness (cross-session equivocation checks) and its pool.
+  DeploymentOptions opts;
+  opts.f = 2;
+  opts.executor_threads = 2;
+  Deployment dep(opts);
+  AgentOptions own;
+  own.sync_mode = scfs::SyncMode::kBlocking;
+  for (RockFsAgent* agent : {&dep.add_user("carol"), &dep.add_user("dave", own)}) {
+    SCOPED_TRACE(agent->user_id());
+    const auto storage = agent->storage();
+    ASSERT_NE(storage, nullptr);
+    EXPECT_EQ(storage->f(), 2u);
+    EXPECT_EQ(&storage->witness(), dep.witness().get());
+    EXPECT_NE(storage->config().executor, nullptr);
+  }
+
+  // A user added after a reconfiguration starts at the epoch in force.
+  auto report = dep.reconfigure_cloud(0);
+  ASSERT_TRUE(report.ok()) << report.error().message;
+  ASSERT_EQ(dep.membership_epoch(), 1u);
+  for (RockFsAgent* agent : {&dep.add_user("erin"), &dep.add_user("frank", own)}) {
+    SCOPED_TRACE(agent->user_id());
+    EXPECT_EQ(agent->storage()->membership_epoch(), 1u);
+  }
 }
 
 // ------------------------------------------------ T2: credential recovery
@@ -566,6 +600,38 @@ TEST(Agent, OpsRequireLogin) {
   EXPECT_EQ(alice.create("/f").code(), ErrorCode::kPermissionDenied);
   EXPECT_EQ(alice.read_file("/f").code(), ErrorCode::kPermissionDenied);
   EXPECT_EQ(alice.write_file("/f", to_bytes("x")).code(), ErrorCode::kPermissionDenied);
+}
+
+TEST(Agent, CrashInADueFlushEndsTheConvenienceCallAsKCrashed) {
+  // Each case stages /a, lets its write-back deadline pass and arms the file
+  // put: the call's first SCFS operation flushes the due /a and dies in it.
+  // The convenience calls must land that crash like any other: kCrashed,
+  // session gone — never a raw sim::ClientCrash.
+  using Call = std::function<ErrorCode(RockFsAgent&)>;
+  const std::vector<std::pair<std::string, Call>> calls = {
+      {"read_file", [](RockFsAgent& a) { return a.read_file("/a").code(); }},
+      {"write_file", [](RockFsAgent& a) { return a.write_file("/b", to_bytes("b")).code(); }},
+      {"unlink", [](RockFsAgent& a) { return a.unlink("/a").code(); }},
+  };
+  for (const auto& [name, call] : calls) {
+    SCOPED_TRACE(name);
+    DeploymentOptions opts;
+    opts.agent.sync_mode = scfs::SyncMode::kBlocking;
+    opts.agent.write_back = true;
+    Deployment dep(opts);
+    auto& alice = dep.add_user("alice");
+    ASSERT_TRUE(alice.write_file("/a", to_bytes("staged")).ok());
+    ASSERT_EQ(alice.fs().dirty_entries(), 1u);
+    dep.clock()->advance_us(cache::kFlushDeadlineUs + 1);
+    dep.crash_schedule()->arm(sim::CrashPoint::kBeforeFilePut);
+
+    ErrorCode code = ErrorCode::kOk;
+    EXPECT_NO_THROW(code = call(alice));
+    EXPECT_EQ(code, ErrorCode::kCrashed);
+    EXPECT_FALSE(alice.logged_in());
+    EXPECT_EQ(alice.read_file("/a").code(), ErrorCode::kPermissionDenied);
+    EXPECT_TRUE(dep.login_default("alice").ok());  // the restart still works
+  }
 }
 
 TEST(Agent, LoggingOffMatchesPlainScfs) {

@@ -31,6 +31,7 @@ struct ScfsFixture : ::testing::Test {
   Scfs make_fs(SyncMode mode = SyncMode::kBlocking, const std::string& user = "alice") {
     ScfsOptions opts;
     opts.sync_mode = mode;
+    opts.cache = std::make_shared<cache::ClientCache>();
     opts.user_id = user;
     return Scfs(storage, tokens, coordination, clock, opts);
   }
