@@ -101,6 +101,14 @@ TEST(CoordDurability, RestoreRejectsGarbage) {
   auto clock = std::make_shared<sim::SimClock>();
   coord::CoordinationService svc(clock, 1, 3);
   EXPECT_FALSE(svc.restore_replica(0, to_bytes("not a checkpoint")).ok());
+  // A slot holding a valid tuple encoding followed by stray bytes: the tuple
+  // parses, but the restored replica could not checkpoint those bytes back.
+  Bytes slot = coord::serialize_tuple({"k", "v"});
+  append(slot, Bytes{1, 2, 3});
+  Bytes cp;
+  append_u64(cp, 1);
+  append_lp(cp, slot);
+  EXPECT_EQ(svc.restore_replica(0, cp).code(), ErrorCode::kCorrupted);
 }
 
 TEST(CoordChurn, WritesDuringRollingFaults) {
