@@ -1,6 +1,6 @@
 #include "coord/service.h"
 
-#include <map>
+#include <algorithm>
 #include <string>
 
 #include "obs/metrics.h"
@@ -9,37 +9,6 @@
 namespace rockfs::coord {
 
 namespace {
-
-// Canonical encodings of the per-operation answers, for voting.
-
-Bytes encode_opt_tuple(const std::optional<Tuple>& t) {
-  Bytes out;
-  out.push_back(t.has_value() ? 1 : 0);
-  if (t.has_value()) append(out, serialize_tuple(*t));
-  return out;
-}
-
-std::optional<Tuple> decode_opt_tuple(BytesView b) {
-  if (b.empty() || b[0] == 0) return std::nullopt;
-  return deserialize_tuple(b.subspan(1));
-}
-
-Bytes encode_tuples(const std::vector<Tuple>& ts) {
-  Bytes out;
-  append_u32(out, static_cast<std::uint32_t>(ts.size()));
-  for (const auto& t : ts) append_lp(out, serialize_tuple(t));
-  return out;
-}
-
-std::vector<Tuple> decode_tuples(BytesView b) {
-  std::size_t off = 0;
-  const std::uint32_t n = read_u32(b, off);
-  off += 4;
-  std::vector<Tuple> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(deserialize_tuple(read_lp(b, &off)));
-  return out;
-}
 
 Bytes encode_bool(bool v) { return Bytes{static_cast<Byte>(v ? 1 : 0)}; }
 Bytes encode_size(std::size_t v) {
@@ -69,10 +38,14 @@ sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op
   obs::Span span = obs::tracer().span("coord.op");
   span.set_label(name);
   obs::metrics().counter(obs::metric_key("coord.ops", name)).add();
-  // Votes are keyed by the answer's bytes as a std::string, which orders them
-  // the same unsigned, lexicographic way as Bytes. (GCC 12 at -O3 reports a
-  // false -Wstringop-overread inside vector<unsigned char>'s operator<=>.)
-  std::map<std::string, std::vector<sim::SimClock::Micros>> votes;
+  // One tally per distinct answer, compared by bytes. At most one answer can
+  // gather 2f+1 of the 3f+1 votes, and quorum_delay and parallel_delay do not
+  // depend on the order of the delays, so the tallies need no order.
+  struct Tally {
+    Bytes answer;
+    std::vector<sim::SimClock::Micros> delays;
+  };
+  std::vector<Tally> tallies;
   for (std::size_t i = 0; i < replicas_.size(); ++i) {
     // A replica in an outage (or hit by a transient fault) contributes no
     // vote this round; a tail-latency storm slows its reply instead.
@@ -83,20 +56,26 @@ sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op
     auto delay = nets_[i]->rpc_delay_us(128, answer.size() + 64);
     delay = static_cast<sim::SimClock::Micros>(static_cast<double>(delay) *
                                               actions.latency_factor);
-    votes[to_string(answer)].push_back(delay);
+    auto same = std::find_if(tallies.begin(), tallies.end(),
+                             [&](const Tally& t) { return t.answer == answer; });
+    if (same == tallies.end()) {
+      tallies.push_back({std::move(answer), {delay}});
+    } else {
+      same->delays.push_back(delay);
+    }
   }
-  for (auto& [answer, delays] : votes) {
-    if (delays.size() >= quorum()) {
-      const auto delay = sim::quorum_delay(delays, quorum());
+  for (auto& tally : tallies) {
+    if (tally.delays.size() >= quorum()) {
+      const auto delay = sim::quorum_delay(std::move(tally.delays), quorum());
       span.set_duration(static_cast<std::uint64_t>(delay));
       obs::metrics().histogram("coord.delay_us").record(static_cast<std::uint64_t>(delay));
-      return {to_bytes(answer), delay};
+      return {std::move(tally.answer), delay};
     }
   }
   // No quorum: report when the slowest live replica answered.
   std::vector<sim::SimClock::Micros> all;
-  for (auto& [answer, delays] : votes) {
-    all.insert(all.end(), delays.begin(), delays.end());
+  for (const auto& tally : tallies) {
+    all.insert(all.end(), tally.delays.begin(), tally.delays.end());
   }
   const auto delay = sim::parallel_delay(all);
   span.set_duration(static_cast<std::uint64_t>(delay));
@@ -117,6 +96,7 @@ sim::Timed<Status> CoordinationService::out(const Tuple& tuple) {
 
 sim::Timed<Result<std::optional<Tuple>>> CoordinationService::rdp(const Template& pattern) {
   auto r = execute("rdp", [&](Replica& rep) {
+    if (!rep.byzantine()) return rep.rdp_answer(pattern);
     auto ans = rep.rdp(pattern);
     if (ans.has_value()) ans = rep.maybe_lie(std::move(*ans));
     return encode_opt_tuple(ans);
@@ -137,10 +117,9 @@ sim::Timed<Result<std::optional<Tuple>>> CoordinationService::inp(const Template
 
 sim::Timed<Result<std::vector<Tuple>>> CoordinationService::rdall(const Template& pattern) {
   auto r = execute("rdall", [&](Replica& rep) {
+    if (!rep.byzantine()) return rep.rdall_answer(pattern);
     auto ts = rep.rdall(pattern);
-    if (rep.byzantine()) {
-      for (auto& t : ts) t = rep.maybe_lie(std::move(t));
-    }
+    for (auto& t : ts) t = rep.maybe_lie(std::move(t));
     return encode_tuples(ts);
   });
   if (!r.value.ok()) return {Error{r.value.error()}, r.delay};

@@ -56,11 +56,6 @@ class CoordinationService {
   Status restore_replica(std::size_t i, BytesView checkpoint);
 
  private:
-  struct Answer {
-    Bytes encoded;                 // canonical encoding for voting
-    sim::SimClock::Micros delay;   // when this replica's reply arrives
-  };
-
   /// Runs `op` on every live replica, votes, and returns the winning encoded
   /// answer (>= 2f+1 identical votes) with the quorum completion delay.
   template <typename Op>
