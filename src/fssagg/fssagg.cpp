@@ -89,37 +89,52 @@ FssAggVerifyReport fssagg_verify_rotated(const FssAggKeys& initial,
                                          const std::vector<TaggedEntry>& log,
                                          BytesView aggregate_a, BytesView aggregate_b,
                                          std::size_t expected_count) {
-  FssAggVerifyReport report;
-  report.count_mismatch = log.size() != expected_count;
-
-  Bytes key_a = initial.a1;
-  Bytes key_b = initial.b1;
-  Bytes agg_a = fssagg_initial_aggregate();
-  Bytes agg_b = fssagg_initial_aggregate();
+  FssAggVerifier verifier(initial);
   std::size_t next_rotation = 0;
-
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    if (next_rotation < rotations.size() && rotations[next_rotation].at_index == i) {
-      key_a = rotations[next_rotation].keys.a1;
-      key_b = rotations[next_rotation].keys.b1;
-      ++next_rotation;
+  for (const TaggedEntry& te : log) {
+    if (next_rotation < rotations.size() &&
+        rotations[next_rotation].at_index == verifier.count()) {
+      verifier.rotate(rotations[next_rotation++].keys);
     }
-    const TaggedEntry& te = log[i];
-    const Bytes want_a = entry_mac(key_a, i, te.entry);
-    const Bytes want_b = entry_mac(key_b, i, te.entry);
-    if (!ct_equal(want_a, te.tag.mac_a) || !ct_equal(want_b, te.tag.mac_b)) {
-      report.corrupt_entries.push_back(i);
-    }
-    // The aggregates are folded over the *stored* tags: a tampered tag will
-    // surface either as a per-entry mismatch above or as an aggregate
-    // mismatch below, and a consistent forgery of both requires past keys.
-    agg_a = fold(agg_a, te.tag.mac_a);
-    agg_b = fold(agg_b, te.tag.mac_b);
-    key_a = evolve(key_a);
-    key_b = evolve(key_b);
+    verifier.add(te.entry, te.tag);
   }
+  return verifier.report(aggregate_a, aggregate_b, expected_count);
+}
 
-  report.aggregate_mismatch = !ct_equal(agg_a, aggregate_a) || !ct_equal(agg_b, aggregate_b);
+FssAggVerifier::FssAggVerifier(const FssAggKeys& initial)
+    : key_a_(initial.a1),
+      key_b_(initial.b1),
+      agg_a_(fssagg_initial_aggregate()),
+      agg_b_(fssagg_initial_aggregate()) {}
+
+void FssAggVerifier::rotate(const FssAggKeys& keys) {
+  key_a_ = keys.a1;
+  key_b_ = keys.b1;
+}
+
+void FssAggVerifier::add(BytesView entry, const FssAggTag& tag) {
+  const Bytes want_a = entry_mac(key_a_, count_, entry);
+  const Bytes want_b = entry_mac(key_b_, count_, entry);
+  if (!ct_equal(want_a, tag.mac_a) || !ct_equal(want_b, tag.mac_b)) {
+    corrupt_.push_back(count_);
+  }
+  // The aggregates are folded over the *stored* tags: a tampered tag will
+  // surface either as a per-entry mismatch above or as an aggregate
+  // mismatch in report(), and a consistent forgery of both requires past keys.
+  agg_a_ = fold(agg_a_, tag.mac_a);
+  agg_b_ = fold(agg_b_, tag.mac_b);
+  key_a_ = evolve(key_a_);
+  key_b_ = evolve(key_b_);
+  ++count_;
+}
+
+FssAggVerifyReport FssAggVerifier::report(BytesView aggregate_a, BytesView aggregate_b,
+                                          std::size_t expected_count) const {
+  FssAggVerifyReport report;
+  report.corrupt_entries = corrupt_;
+  report.count_mismatch = count_ != expected_count;
+  report.aggregate_mismatch =
+      !ct_equal(agg_a_, aggregate_a) || !ct_equal(agg_b_, aggregate_b);
   report.ok = !report.count_mismatch && !report.aggregate_mismatch &&
               report.corrupt_entries.empty();
   return report;

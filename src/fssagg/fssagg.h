@@ -23,6 +23,8 @@ namespace rockfs::fssagg {
 struct FssAggKeys {
   Bytes a1;
   Bytes b1;
+
+  bool operator==(const FssAggKeys&) const = default;
 };
 
 FssAggKeys fssagg_keygen(crypto::Drbg& drbg);
@@ -102,16 +104,47 @@ FssAggVerifyReport fssagg_verify(const FssAggKeys& initial,
 struct FssAggRotation {
   std::size_t at_index = 0;
   FssAggKeys keys;
+
+  bool operator==(const FssAggRotation&) const = default;
 };
 
 /// FssAgg.Aver across key rotations: like fssagg_verify, but switches to each
 /// rotation's fresh key stream at its index. Rotations must be sorted by
-/// at_index; an empty list degenerates to fssagg_verify.
+/// at_index; an empty list degenerates to fssagg_verify. A short loop over
+/// FssAggVerifier.
 FssAggVerifyReport fssagg_verify_rotated(const FssAggKeys& initial,
                                          const std::vector<FssAggRotation>& rotations,
                                          const std::vector<TaggedEntry>& log,
                                          BytesView aggregate_a, BytesView aggregate_b,
                                          std::size_t expected_count);
+
+/// FssAgg.Aver one entry at a time. Its state after entry i depends only on
+/// the keys and on entries 0..i, so a verifier kept after a verified prefix
+/// takes the entries appended since without re-checking the prefix.
+class FssAggVerifier {
+ public:
+  explicit FssAggVerifier(const FssAggKeys& initial);
+
+  /// Switches to the fresh key stream `keys` from the next entry on: an
+  /// FssAggRotation at index count().
+  void rotate(const FssAggKeys& keys);
+  /// Checks the next entry's tags under the current keys, folds the stored
+  /// tags into both aggregates and evolves the keys.
+  void add(BytesView entry, const FssAggTag& tag);
+  /// The verdict over the entries added so far.
+  FssAggVerifyReport report(BytesView aggregate_a, BytesView aggregate_b,
+                            std::size_t expected_count) const;
+  /// Entries added so far.
+  std::size_t count() const noexcept { return count_; }
+
+ private:
+  Bytes key_a_;
+  Bytes key_b_;
+  Bytes agg_a_;
+  Bytes agg_b_;
+  std::size_t count_ = 0;
+  std::vector<std::size_t> corrupt_;
+};
 
 /// The deterministic seed value of both aggregates before any entry.
 Bytes fssagg_initial_aggregate();

@@ -483,21 +483,30 @@ std::unique_ptr<LogService> make_resumed_log_service(
   return service;
 }
 
-sim::Timed<Result<std::vector<LogRecord>>> read_log_records(
+sim::Timed<Result<std::vector<coord::Tuple>>> read_log_tuples(
     coord::CoordinationService& coord, const std::string& user) {
-  auto all = coord.rdall(coord::Template::of(
+  return coord.rdall(coord::Template::of(
       {kRecordTag, user, "*", "*", "*", "*", "*", "*", "*", "*", "*", "*", "*"}));
-  if (!all.value.ok()) return {Error{all.value.error()}, all.delay};
+}
+
+Result<std::vector<LogRecord>> decode_log_records(const std::vector<coord::Tuple>& tuples) {
   std::vector<LogRecord> records;
-  records.reserve(all.value->size());
-  for (const auto& t : *all.value) {
+  records.reserve(tuples.size());
+  for (const auto& t : tuples) {
     auto r = LogRecord::from_tuple(t);
-    if (!r.ok()) return {Error{r.error()}, all.delay};
+    if (!r.ok()) return Error{r.error()};
     records.push_back(std::move(*r));
   }
-  std::sort(records.begin(), records.end(),
-            [](const LogRecord& a, const LogRecord& b) { return a.seq < b.seq; });
-  return {std::move(records), all.delay};
+  std::stable_sort(records.begin(), records.end(),
+                   [](const LogRecord& a, const LogRecord& b) { return a.seq < b.seq; });
+  return records;
+}
+
+sim::Timed<Result<std::vector<LogRecord>>> read_log_records(
+    coord::CoordinationService& coord, const std::string& user) {
+  auto tuples = read_log_tuples(coord, user);
+  if (!tuples.value.ok()) return {Error{tuples.value.error()}, tuples.delay};
+  return {decode_log_records(*tuples.value), tuples.delay};
 }
 
 }  // namespace rockfs::core

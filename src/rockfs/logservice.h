@@ -255,7 +255,18 @@ struct StoredAggregates {
 sim::Timed<Result<StoredAggregates>> read_aggregates(coord::CoordinationService& coord,
                                                      const std::string& user);
 
-/// Reads all of `user`'s log records ordered by seq (does not verify).
+/// Reads `user`'s log record tuples undecoded, in the coordination
+/// service's answer order (oldest first).
+sim::Timed<Result<std::vector<coord::Tuple>>> read_log_tuples(
+    coord::CoordinationService& coord, const std::string& user);
+
+/// Decodes log record tuples and orders them by seq; records with equal
+/// seqs keep the tuples' order. Fails on the first tuple that does not
+/// decode.
+Result<std::vector<LogRecord>> decode_log_records(const std::vector<coord::Tuple>& tuples);
+
+/// Reads all of `user`'s log records ordered by seq: read_log_tuples, then
+/// decode_log_records (does not verify).
 sim::Timed<Result<std::vector<LogRecord>>> read_log_records(
     coord::CoordinationService& coord, const std::string& user);
 

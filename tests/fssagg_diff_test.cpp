@@ -161,6 +161,95 @@ TEST(FssAgg, KeygenProducesDistinctKeys) {
   EXPECT_THROW(fssagg::FssAggSigner({Bytes(16, 0), Bytes(32, 0)}), std::invalid_argument);
 }
 
+// A 12-entry log whose key stream switches at entries 4 and 9, plus a
+// switch at index 12 that no entry reaches.
+struct RotatedLog {
+  std::vector<fssagg::TaggedEntry> log;
+  std::vector<fssagg::FssAggRotation> rotations;
+  Bytes agg_a;
+  Bytes agg_b;
+};
+
+RotatedLog rotated_log(FssAggFixture& fx) {
+  RotatedLog out;
+  fssagg::FssAggSigner signer(fx.keys);
+  for (std::size_t i = 0; i <= 12; ++i) {
+    if (i == 4 || i == 9 || i == 12) {
+      fssagg::FssAggKeys fresh = fssagg::fssagg_keygen(fx.drbg);
+      out.rotations.push_back({i, fresh});
+      signer = fssagg::FssAggSigner(std::move(fresh), signer.aggregate_a(),
+                                    signer.aggregate_b(), signer.count());
+    }
+    if (i == 12) break;
+    fssagg::TaggedEntry te;
+    te.entry = to_bytes("entry " + std::to_string(i));
+    te.tag = signer.append(te.entry);
+    out.log.push_back(std::move(te));
+  }
+  out.agg_a = signer.aggregate_a();
+  out.agg_b = signer.aggregate_b();
+  return out;
+}
+
+// Entries [from, to) of `built`, switching key streams where
+// fssagg_verify_rotated does.
+void feed(fssagg::FssAggVerifier& verifier, const RotatedLog& built, std::size_t from,
+          std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    for (const auto& r : built.rotations) {
+      if (r.at_index == i) verifier.rotate(r.keys);
+    }
+    verifier.add(built.log[i].entry, built.log[i].tag);
+  }
+}
+
+void expect_same_report(const fssagg::FssAggVerifyReport& got,
+                        const fssagg::FssAggVerifyReport& want) {
+  EXPECT_EQ(got.ok, want.ok);
+  EXPECT_EQ(got.corrupt_entries, want.corrupt_entries);
+  EXPECT_EQ(got.aggregate_mismatch, want.aggregate_mismatch);
+  EXPECT_EQ(got.count_mismatch, want.count_mismatch);
+}
+
+TEST(FssAgg, ChunkedVerificationMatchesTheWholeLog) {
+  FssAggFixture fx;
+  RotatedLog built = rotated_log(fx);
+  const std::size_t n = built.log.size();
+  EXPECT_TRUE(fssagg::fssagg_verify_rotated(fx.keys, built.rotations, built.log, built.agg_a,
+                                            built.agg_b, n)
+                  .ok);
+  // Corrupt entries before the first switch, at the second and after it (a
+  // tag, which also breaks the aggregates).
+  built.log[2].entry = to_bytes("tampered");
+  built.log[9].entry = to_bytes("tampered");
+  built.log[11].tag.mac_b[0] ^= 1;
+  const auto whole = fssagg::fssagg_verify_rotated(fx.keys, built.rotations, built.log,
+                                                   built.agg_a, built.agg_b, n);
+  EXPECT_EQ(whole.corrupt_entries, (std::vector<std::size_t>{2, 9, 11}));
+  EXPECT_TRUE(whole.aggregate_mismatch);
+  EXPECT_FALSE(whole.count_mismatch);
+
+  // Every pair of split points: three chunks, the verifier copied between
+  // them, and a report after the first that must not disturb it.
+  for (std::size_t s1 = 0; s1 <= n; ++s1) {
+    for (std::size_t s2 = s1; s2 <= n; ++s2) {
+      SCOPED_TRACE("split at " + std::to_string(s1) + " and " + std::to_string(s2));
+      fssagg::FssAggVerifier first(fx.keys);
+      feed(first, built, 0, s1);
+      const std::vector<fssagg::TaggedEntry> prefix(built.log.begin(),
+                                                    built.log.begin() + s1);
+      expect_same_report(first.report(built.agg_a, built.agg_b, n),
+                         fssagg::fssagg_verify_rotated(fx.keys, built.rotations, prefix,
+                                                       built.agg_a, built.agg_b, n));
+      fssagg::FssAggVerifier kept = first;
+      feed(kept, built, s1, s2);
+      feed(kept, built, s2, n);
+      EXPECT_EQ(kept.count(), n);
+      expect_same_report(kept.report(built.agg_a, built.agg_b, n), whole);
+    }
+  }
+}
+
 // -------------------------------------------------------------------- Diff
 
 // Test inputs: uniform random bytes, 2-bit "ACGT" text (few distinct short
