@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "rockfs/attack.h"
 #include "rockfs/deployment.h"
 
@@ -128,6 +129,21 @@ TEST_F(SnapshotFixture, CompactAllCoversEveryFile) {
   auto reports = recovery.compact_all();
   ASSERT_TRUE(reports.ok());
   EXPECT_EQ(reports->size(), 2u);
+}
+
+TEST_F(SnapshotFixture, CompactAllSkipsTheRotationRecord) {
+  build_versions("/a", 2, 8);
+  build_versions("/b", 3, 9);
+  ASSERT_TRUE(dep.respond_to_compromise("alice").ok());
+  auto recovery = dep.make_recovery_service("alice");
+  auto& audits = obs::metrics().counter("recovery.audits");
+  const std::uint64_t before = audits.value();
+  auto reports = recovery.compact_all();
+  ASSERT_TRUE(reports.ok()) << reports.error().message;
+  EXPECT_EQ(reports->size(), 2u);
+  // One audit to list the files, one per compacted file; none for the
+  // rotation record's sentinel path.
+  EXPECT_EQ(audits.value() - before, 1u + 2u);
 }
 
 TEST_F(SnapshotFixture, AdminChainSurvivesServiceRestart) {
