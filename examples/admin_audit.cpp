@@ -5,6 +5,9 @@
 //
 //   $ ./examples/admin_audit
 #include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "rockfs/deployment.h"
 
@@ -51,16 +54,22 @@ int main() {
   print_audit(audit.expect("audit"));
 
   // Now simulate an attacker who somehow rewrote a log tuple at EVERY
-  // coordination replica (stronger than the BFT model allows). The FssAgg
+  // coordination replica (stronger than the BFT model allows). The same
+  // service audits again: it remembers the chain it verified, yet the FssAgg
   // chain still exposes the manipulation.
   std::printf("\ntampering with log record #1 at all replicas...\n");
   auto records = core::read_log_records(*deployment.coordination(), "alice");
-  auto tuple = (*records.value)[1].to_tuple();
+  const core::LogRecord& target = (*records.value)[1];
+  auto tuple = target.to_tuple();
+  std::vector<std::string> fields(tuple.size(), "*");
+  for (std::size_t f = 0; f < 3; ++f) fields[f] = tuple[f];  // tag, user, seq
+  const coord::Template exact = coord::Template::of(fields);
   for (std::size_t i = 0; i < deployment.coordination()->replica_count(); ++i) {
     auto& replica = deployment.coordination()->replica(i);
-    coord::Template exact = coord::Template::of(
-        {tuple[0], tuple[1], tuple[2], "*", "*", "*", "*", "*", "*", "*", "*", "*"});
-    replica.inp(exact);
+    if (!replica.inp(exact)) {
+      std::printf("record #1 not found at replica %zu\n", i);
+      return 1;
+    }
     auto forged = tuple;
     forged[7] = "31337";  // attacker rewrites the payload size
     replica.out(forged);
@@ -68,7 +77,11 @@ int main() {
 
   auto audit2 = recovery.audit_log();
   print_audit(audit2.expect("audit2"));
-  const bool detected = !audit2->report.ok;
+  // The rewrite replaced the record in place: exactly its entry fails its
+  // MAC, and the count and aggregates still match.
+  const bool detected = !audit2->report.ok &&
+                        audit2->discarded_seqs == std::set<std::uint64_t>{target.seq} &&
+                        !audit2->report.count_mismatch && !audit2->report.aggregate_mismatch;
   std::printf("\nmanipulation detected: %s\n", detected ? "YES" : "NO");
   return detected ? 0 : 1;
 }
