@@ -354,36 +354,31 @@ unsigned nibble(const Uint256& k, std::size_t i) {
   return static_cast<unsigned>(k.limb[i / 16] >> (4 * (i % 16))) & 0xF;
 }
 
-// The comb for G: row i holds j * 16^i * G for j = 1..15, affine. Built once
-// per process on first use (function-local statics initialise thread-safely).
-using Comb = std::array<std::array<Point, 15>, 64>;
-
-const Comb& comb() {
-  static const std::unique_ptr<const Comb> table = [] {
-    auto rows = std::make_unique<Comb>();
-    Point base = generator();
-    for (auto& row : *rows) {
-      Jac acc = to_jac(base);
-      row[0] = base;
-      for (std::size_t j = 1; j < row.size(); ++j) {
-        acc = jac_add_affine(acc, base);
-        row[j] = to_affine(acc);
-      }
-      base = to_affine(jac_add_affine(acc, base));
-    }
-    return rows;
-  }();
+// G's comb, built once per process on first use (function-local statics
+// initialise thread-safely).
+const Comb& g_comb() {
+  static const std::unique_ptr<const Comb> table = std::make_unique<const Comb>(generator());
   return *table;
 }
 
-// acc + k*G: one mixed addition per nonzero nibble of k, no doublings.
-Jac comb_add(Jac acc, const Uint256& k) {
-  const Comb& rows = comb();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+// acc + k*P for P's comb: one mixed addition per nonzero nibble of k, no
+// doublings.
+Jac comb_add(Jac acc, const Uint256& k, const Comb& comb) {
+  for (std::size_t i = 0; i < Comb::kRows; ++i) {
     const unsigned d = nibble(k, i);
-    if (d != 0) acc = jac_add_affine(acc, rows[i][d - 1]);
+    if (d != 0) acc = jac_add_affine(acc, comb.at(i, d));
   }
   return acc;
+}
+
+// Whether the Jacobian j and the affine r are one point: X == x * Z^2 and
+// Y == y * Z^3, exactly when to_affine(j) == r. Every coordinate the formulas
+// produce is below p, so r's must be too.
+bool jac_equals(const Jac& j, const Point& r) {
+  if (j.infinity) return r == Point{};
+  if (r.infinity || r.x >= kP || r.y >= kP) return false;
+  const Uint256 zz = fe_sqr(j.z);
+  return j.x == fe_mul(r.x, zz) && j.y == fe_mul(r.y, fe_mul(zz, j.z));
 }
 
 // The GLV endomorphism: lambda is a cube root of unity mod n and beta one
@@ -465,15 +460,8 @@ Jac add_digit(const Jac& acc, const std::array<Jac, 8>& odd, int d) {
   return jac_add(acc, {q.x, sub_p(Uint256(0), q.y), q.z, q.infinity});
 }
 
-}  // namespace
-
-Point point_add(const Point& a, const Point& b) {
-  return to_affine(jac_add_affine(to_jac(a), b));
-}
-
-Point point_double(const Point& a) { return to_affine(jac_double(to_jac(a))); }
-
-Point scalar_mul_sum(std::span<const std::pair<Uint256, Point>> terms) {
+// The sum of scalar_mul_sum, still in Jacobian coordinates.
+Jac jac_mul_sum(std::span<const std::pair<Uint256, Point>> terms) {
   Uint256 g_sum;  // the scalars of the terms on G, mod n
   std::vector<GlvTerm> glv;
   glv.reserve(terms.size());
@@ -505,7 +493,23 @@ Point scalar_mul_sum(std::span<const std::pair<Uint256, Point>> terms) {
       acc = add_digit(acc, t.odd_lambda, t.k2[i]);
     }
   }
-  return to_affine(comb_add(acc, g_sum));
+  return comb_add(acc, g_sum, g_comb());
+}
+
+}  // namespace
+
+Point point_add(const Point& a, const Point& b) {
+  return to_affine(jac_add_affine(to_jac(a), b));
+}
+
+Point point_double(const Point& a) { return to_affine(jac_double(to_jac(a))); }
+
+Point scalar_mul_sum(std::span<const std::pair<Uint256, Point>> terms) {
+  return to_affine(jac_mul_sum(terms));
+}
+
+bool scalar_mul_sum_equals(std::span<const std::pair<Uint256, Point>> terms, const Point& r) {
+  return jac_equals(jac_mul_sum(terms), r);
 }
 
 Point scalar_mul(const Uint256& k, const Point& p) {
@@ -513,7 +517,42 @@ Point scalar_mul(const Uint256& k, const Point& p) {
   return scalar_mul_sum({&term, 1});
 }
 
-Point scalar_mul_base(const Uint256& k) { return to_affine(comb_add({}, k)); }
+Comb::Comb(const Point& p) {
+  if (p.infinity) throw std::invalid_argument("Comb: the identity has no comb");
+  // Every entry in Jacobian coordinates first: row i is base, 2 * base, ...,
+  // 15 * base for base = 16^i * P, and the next row's base is 15 * base +
+  // base. No entry is the identity: j * 16^i < n and n is prime.
+  constexpr std::size_t kEntries = kRows * kDigits;
+  std::vector<Jac> entries(kEntries);
+  Jac base = to_jac(p);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    Jac* row = &entries[i * kDigits];
+    row[0] = base;
+    row[1] = jac_double(base);
+    for (std::size_t j = 2; j < kDigits; ++j) row[j] = jac_add(row[j - 1], base);
+    base = jac_add(row[kDigits - 1], base);
+  }
+  // One batch inversion (Montgomery's trick): with prefix[k] = Z_0 * ... *
+  // Z_k and inv = 1 / prefix[k], 1 / Z_k is inv * prefix[k - 1], and inv *
+  // Z_k is the next inv down.
+  std::vector<Uint256> prefix(kEntries);
+  Uint256 product(1);
+  for (std::size_t k = 0; k < kEntries; ++k) prefix[k] = product = fe_mul(product, entries[k].z);
+  Uint256 inv = fe_inv(product);
+  for (std::size_t k = kEntries; k-- > 0;) {
+    const Uint256 zi = k == 0 ? inv : fe_mul(inv, prefix[k - 1]);
+    inv = fe_mul(inv, entries[k].z);
+    const Uint256 zi2 = fe_sqr(zi);
+    rows_[k / kDigits][k % kDigits] = {fe_mul(entries[k].x, zi2),
+                                       fe_mul(entries[k].y, fe_mul(zi2, zi)), false};
+  }
+}
+
+Point scalar_mul_base(const Uint256& k) { return to_affine(comb_add({}, k, g_comb())); }
+
+bool comb_sum_equals(const Uint256& a, const Uint256& b, const Comb& p_comb, const Point& r) {
+  return jac_equals(comb_add(comb_add({}, a, g_comb()), b, p_comb), r);
+}
 
 Point point_negate(const Point& a) {
   if (a.infinity) return a;

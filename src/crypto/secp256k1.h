@@ -4,6 +4,8 @@
 // Not constant-time: this is a research reproduction, not a wallet.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <span>
 #include <utility>
 
@@ -39,12 +41,39 @@ Point point_double(const Point& a);
 /// over a Jacobian table of 1P, 3P, ..., 15P (the lambda half reads it with
 /// X scaled by beta); all streams share one chain of at most 129 doublings.
 Point scalar_mul_sum(std::span<const std::pair<Uint256, Point>> terms);
+/// Whether scalar_mul_sum(terms) == r, with the sum compared to r in
+/// Jacobian coordinates (X == x * Z^2, Y == y * Z^3), so no inversion. The
+/// terms' points must have coordinates below p, as on_curve() requires.
+bool scalar_mul_sum_equals(std::span<const std::pair<Uint256, Point>> terms, const Point& r);
 /// k*P: the one-term scalar_mul_sum, so k*G goes through the comb.
 Point scalar_mul(const Uint256& k, const Point& p);
-/// k*G by a comb: a table of j*16^i*G (i < 64, 1 <= j <= 15, affine, about
-/// 68 KiB) built once per process on first use, thread-safely. k*G is then at
-/// most 64 mixed additions and no doublings.
+
+/// The comb of a fixed point P: row i holds j * 16^i * P for 1 <= j <= 15
+/// (i < 64), affine, about 68 KiB, so k*P is at most 64 mixed additions and
+/// no doublings. The constructor computes every entry in Jacobian
+/// coordinates and makes all of them affine with one batch inversion. G's
+/// comb is one of these, built once per process on first use, thread-safely.
+class Comb {
+ public:
+  static constexpr std::size_t kRows = 64;
+  static constexpr unsigned kDigits = 15;
+
+  /// P's comb; throws std::invalid_argument when P is the identity.
+  explicit Comb(const Point& p);
+
+  /// j * 16^row * P, for row < kRows and 1 <= j <= kDigits.
+  const Point& at(std::size_t row, unsigned j) const { return rows_[row][j - 1]; }
+
+ private:
+  std::array<std::array<Point, kDigits>, kRows> rows_;
+};
+
+/// k*G through G's comb.
 Point scalar_mul_base(const Uint256& k);
+/// Whether a*G + b*P == r, where `p_comb` is P's comb: a walks G's comb and
+/// b P's (at most 128 mixed additions, no doublings), and the sum is compared
+/// to r in Jacobian coordinates, so no inversion either.
+bool comb_sum_equals(const Uint256& a, const Uint256& b, const Comb& p_comb, const Point& r);
 Point point_negate(const Point& a);
 
 /// Whether the point satisfies the curve equation (identity counts as valid).

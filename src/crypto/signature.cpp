@@ -1,5 +1,6 @@
 #include "crypto/signature.h"
 
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/hmac.h"
@@ -9,10 +10,37 @@ namespace rockfs::crypto {
 
 namespace {
 
-// Challenge scalar e = H(R || P || m) mod n.
-Uint256 challenge(const Point& r, const Point& pub, BytesView message) {
-  const Bytes input = concat({point_encode(r), point_encode(pub), message});
-  return scalar_from_bytes(sha256(input));
+// Challenge scalar e = H(R || P || m) mod n, over the points' encodings.
+Uint256 challenge(BytesView r_encoded, BytesView pub_encoded, BytesView message) {
+  Sha256 h;
+  h.update(r_encoded);
+  h.update(pub_encoded);
+  h.update(message);
+  return scalar_from_bytes(h.finish());
+}
+
+// What a check needs of a well-formed signature (97 bytes, R an encoded
+// curve point other than the identity, s < n): R, s and n - e.
+struct Parsed {
+  Point r;
+  Uint256 s;
+  Uint256 minus_e;
+};
+
+std::optional<Parsed> parse(BytesView pub_encoded, BytesView message, BytesView signature) {
+  if (signature.size() != kSignatureSize) return std::nullopt;
+  const BytesView r_encoded = signature.subspan(0, 65);
+  Parsed p;
+  try {
+    p.r = point_decode(r_encoded);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+  if (p.r.infinity) return std::nullopt;
+  p.s = Uint256::from_bytes_be(signature.subspan(65, 32));
+  if (p.s >= curve_n()) return std::nullopt;
+  p.minus_e = scalar_sub(Uint256(0), challenge(r_encoded, pub_encoded, message));
+  return p;
 }
 
 }  // namespace
@@ -39,10 +67,9 @@ Bytes sign(const KeyPair& key, BytesView message) {
     append_u32(nonce_input, counter);
     const Uint256 k = scalar_from_bytes(hmac_sha256(priv, nonce_input));
     if (k.is_zero()) continue;
-    const Point r = scalar_mul_base(k);
-    const Uint256 e = challenge(r, key.public_key, message);
+    Bytes sig = point_encode(scalar_mul_base(k));
+    const Uint256 e = challenge(sig, key.public_bytes(), message);
     const Uint256 s = scalar_add(k, scalar_mul_mod_n(e, key.private_key));
-    Bytes sig = point_encode(r);
     append(sig, s.to_bytes_be());
     return sig;
   }
@@ -52,21 +79,12 @@ bool verify(const Point& public_key, BytesView message, BytesView signature) {
   // The identity is no key: s*G == R + e*O holds for R = s*G whatever the
   // message. An off-curve point is no key either.
   if (public_key.infinity || !on_curve(public_key)) return false;
-  if (signature.size() != kSignatureSize) return false;
-  Point r;
-  try {
-    r = point_decode(signature.subspan(0, 65));
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  if (r.infinity) return false;
-  const Uint256 s = Uint256::from_bytes_be(signature.subspan(65, 32));
-  if (s >= curve_n()) return false;
-  const Uint256 e = challenge(r, public_key, message);
-  // s*G == R + e*P, checked as s*G + (n - e)*P == R with one affine conversion.
-  const std::pair<Uint256, Point> terms[] = {{s, generator()},
-                                             {scalar_sub(Uint256(0), e), public_key}};
-  return scalar_mul_sum(terms) == r;
+  const auto parsed = parse(point_encode(public_key), message, signature);
+  if (!parsed) return false;
+  // s*G == R + e*P, checked as s*G + (n - e)*P == R in Jacobian coordinates.
+  const std::pair<Uint256, Point> terms[] = {{parsed->s, generator()},
+                                             {parsed->minus_e, public_key}};
+  return scalar_mul_sum_equals(terms, parsed->r);
 }
 
 bool verify(BytesView public_key_bytes, BytesView message, BytesView signature) {
@@ -75,6 +93,23 @@ bool verify(BytesView public_key_bytes, BytesView message, BytesView signature) 
   } catch (const std::invalid_argument&) {
     return false;
   }
+}
+
+PreparedKey::PreparedKey(const Point& public_key)
+    : point_(public_key), encoded_(point_encode(public_key)) {
+  if (public_key.infinity || !on_curve(public_key)) {
+    throw std::invalid_argument("PreparedKey: the identity or an off-curve point");
+  }
+}
+
+const Comb& PreparedKey::comb() const {
+  std::call_once(built_, [this] { comb_ = std::make_unique<const Comb>(point_); });
+  return *comb_;
+}
+
+bool PreparedKey::verify(BytesView message, BytesView signature) const {
+  const auto parsed = parse(encoded_, message, signature);
+  return parsed && comb_sum_equals(parsed->s, parsed->minus_e, comb(), parsed->r);
 }
 
 }  // namespace rockfs::crypto

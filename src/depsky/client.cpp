@@ -78,8 +78,13 @@ DepSkyClient::DepSkyClient(DepSkyConfig config, BytesView drbg_seed)
   }
   const Bytes own = config_.writer.public_bytes();
   bool has_own = false;
-  for (const Bytes& w : config_.trusted_writers) has_own = has_own || ct_equal(w, own);
-  if (!has_own) config_.trusted_writers.push_back(own);
+  for (const auto& w : config_.trusted_writers) has_own = has_own || ct_equal(w->encoded(), own);
+  // A client built without a writer key (the identity) trusts no own key:
+  // nothing verifies under the identity.
+  if (!has_own && !config_.writer.public_key.infinity) {
+    config_.trusted_writers.push_back(
+        std::make_shared<const crypto::PreparedKey>(config_.writer.public_key));
+  }
 }
 
 std::vector<std::size_t> DepSkyClient::contact_set() {
@@ -316,8 +321,8 @@ DepSkyClient::QuorumPutResult DepSkyClient::quorum_put(
 }
 
 bool DepSkyClient::trusted(const UnitMetadata& meta) const {
-  for (const Bytes& w : config_.trusted_writers) {
-    if (meta.verify(w)) return true;
+  for (const crypto::PreparedKeyPtr& w : config_.trusted_writers) {
+    if (meta.verify(*w)) return true;
   }
   return false;
 }

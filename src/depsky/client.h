@@ -42,9 +42,12 @@ struct DepSkyConfig {
   Protocol protocol = Protocol::kCA;
   crypto::KeyPair writer;  // signs unit metadata
   /// Readers accept metadata from these signers (the writer's own public key
-  /// is always trusted). RockFS adds the administrator here so that files
-  /// re-uploaded during recovery remain readable by the user.
-  std::vector<Bytes> trusted_writers;
+  /// is always trusted; the client prepares it when no entry encodes it).
+  /// RockFS adds the administrator here so that files re-uploaded during
+  /// recovery remain readable by the user. Each key's comb is built on its
+  /// first check and kept by the key, so a holder that reuses the handles
+  /// across clients (an agent across its sessions) builds it once.
+  std::vector<crypto::PreparedKeyPtr> trusted_writers;
   /// Per-cloud retry of transient failures (backoff charged to virtual time).
   RetryPolicy retry;
   /// Per-cloud circuit-breaker thresholds (health.h).
@@ -87,11 +90,12 @@ class DepSkyClient {
   /// a unit last written by a peer stays readable. The roster only ever
   /// grows, which is why a remembered "authentic" verdict (the accepted
   /// heads below) can never go stale; a future removal must clear that map.
-  void add_trusted_writer(Bytes public_key) {
+  /// `key` is not null.
+  void add_trusted_writer(crypto::PreparedKeyPtr key) {
     for (const auto& w : config_.trusted_writers) {
-      if (w == public_key) return;
+      if (w->encoded() == key->encoded()) return;
     }
-    config_.trusted_writers.push_back(std::move(public_key));
+    config_.trusted_writers.push_back(std::move(key));
   }
   std::size_t f() const noexcept { return config_.f; }
   /// Erasure/secret-sharing threshold: f+1 shares reconstruct.
@@ -224,7 +228,8 @@ class DepSkyClient {
   /// Highest-version valid metadata over an (n-f) quorum.
   MetadataFetch fetch_metadata(const std::vector<cloud::AccessToken>& tokens,
                                const std::string& unit);
-  /// Whether the metadata is signed by any trusted writer.
+  /// Whether the metadata is signed by a trusted writer: checked with the
+  /// prepared key whose encoding is its writer_pub.
   bool trusted(const UnitMetadata& meta) const;
   /// Signature verdicts reached within one pass over the clouds' copies of
   /// a unit's metadata (one quorum round, one repair or inventory sweep),

@@ -61,9 +61,9 @@ void UnitMetadata::sign(const crypto::KeyPair& writer) {
   signature = crypto::sign(writer, signing_payload());
 }
 
-bool UnitMetadata::verify(BytesView expected_writer_pub) const {
-  if (!ct_equal(writer_pub, expected_writer_pub)) return false;
-  return crypto::verify(writer_pub, signing_payload(), signature);
+bool UnitMetadata::verify(const crypto::PreparedKey& expected_writer) const {
+  if (!ct_equal(writer_pub, expected_writer.encoded())) return false;
+  return expected_writer.verify(signing_payload(), signature);
 }
 
 void VersionWitness::record_meta(const std::string& unit, const std::string& cloud,

@@ -49,8 +49,9 @@ struct UnitMetadata {
 
   /// Signs with the writer's key (fills writer_pub and signature).
   void sign(const crypto::KeyPair& writer);
-  /// Verifies the signature against the expected writer public key.
-  bool verify(BytesView expected_writer_pub) const;
+  /// Whether `expected_writer` is the signer (writer_pub is its encoding)
+  /// and the signature checks under it.
+  bool verify(const crypto::PreparedKey& expected_writer) const;
 };
 
 // ------------------------------------------------------- version witness

@@ -20,7 +20,7 @@ RockFsAgent::RockFsAgent(const Deployment& deployment, std::string user_id,
       crash_(deployment.crash_schedule()),
       executor_(deployment.executor()),
       witness_(deployment.witness()),
-      trusted_writers_{deployment.admin_public_key()},
+      trusted_writers_{deployment.admin_signer()},
       membership_epoch_(deployment.membership_epoch()),
       holder_pubs_(std::move(holder_pubs)),
       holder_threshold_(holder_threshold),
@@ -52,7 +52,11 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   cfg.f = (clouds_.size() - 1) / 3;  // n = 3f+1
   cfg.protocol = options_.protocol;
   cfg.writer = crypto::keypair_from_private(keystore_->user_private_key);
+  if (!own_key_ || own_key_->point() != cfg.writer.public_key) {
+    own_key_ = std::make_shared<const crypto::PreparedKey>(cfg.writer.public_key);
+  }
   cfg.trusted_writers = trusted_writers_;
+  cfg.trusted_writers.push_back(own_key_);
   cfg.executor = executor_;
   cfg.witness = witness_;
   cfg.session = session_id;
@@ -303,12 +307,12 @@ void RockFsAgent::set_membership_epoch(std::uint64_t epoch) {
   if (storage_) storage_->set_membership_epoch(epoch);
 }
 
-void RockFsAgent::trust_writer(const Bytes& public_key) {
-  if (std::find(trusted_writers_.begin(), trusted_writers_.end(), public_key) ==
-      trusted_writers_.end()) {
-    trusted_writers_.push_back(public_key);
+void RockFsAgent::trust_writer(crypto::PreparedKeyPtr key) {
+  const auto same = [&](const crypto::PreparedKeyPtr& w) { return w->encoded() == key->encoded(); };
+  if (std::none_of(trusted_writers_.begin(), trusted_writers_.end(), same)) {
+    trusted_writers_.push_back(key);
   }
-  if (storage_) storage_->add_trusted_writer(public_key);
+  if (storage_) storage_->add_trusted_writer(std::move(key));
 }
 
 Status RockFsAgent::write_file(const std::string& path, BytesView content) {

@@ -107,10 +107,10 @@ class RockFsAgent {
   /// eviction — the fencing check is what catches the divergence).
   std::optional<std::uint64_t> held_epoch(const std::string& path) const;
 
-  /// Trusts `public_key` as a DepSky metadata signer, now and for future
-  /// logins: required for reading files last written by another user of a
-  /// shared namespace.
-  void trust_writer(const Bytes& public_key);
+  /// Trusts `key` as a DepSky metadata signer, now and for future logins:
+  /// required for reading files last written by another user of a shared
+  /// namespace. Every session checks with this one handle.
+  void trust_writer(crypto::PreparedKeyPtr key);
 
   // ---- cloud-set reconfiguration (depsky/reconfig.h) ----
 
@@ -169,7 +169,12 @@ class RockFsAgent {
   depsky::VersionWitnessPtr witness_;
   /// DepSky signers this agent trusts: the admin key (so recovered files
   /// verify), then every peer of the shared namespace in the order added.
-  std::vector<Bytes> trusted_writers_;
+  /// Prepared keys, handed to every session, so a key's comb is built on its
+  /// first check and kept across logins.
+  std::vector<crypto::PreparedKeyPtr> trusted_writers_;
+  /// This user's own public key, prepared at the first login and reused by
+  /// every later one (a login every 32 ops must not rebuild its comb).
+  crypto::PreparedKeyPtr own_key_;
   /// Cloud-set membership epoch this agent believes current (depsky/
   /// reconfig.h). Writes fail closed (kFenced) against newer-epoch metadata.
   std::uint64_t membership_epoch_;

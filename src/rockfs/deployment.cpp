@@ -21,6 +21,7 @@ Deployment::Deployment(DeploymentOptions options)
                                                                  options_.seed ^ 0xC0C0)),
       setup_drbg_(to_bytes("rockfs.deployment"), to_bytes(std::to_string(options_.seed))),
       admin_keys_(crypto::generate_keypair(setup_drbg_)),
+      admin_signer_(std::make_shared<const crypto::PreparedKey>(admin_keys_.public_key)),
       crash_(std::make_shared<sim::CrashSchedule>()),
       witness_(std::make_shared<depsky::VersionWitness>()),
       next_spare_(clouds_.size()) {
@@ -47,7 +48,7 @@ RockFsAgent& Deployment::add_user(const std::string& user_id, const AgentOptions
   ks.user_id = user_id;
   const crypto::KeyPair user_keys = crypto::generate_keypair(setup_drbg_);
   ks.user_private_key = user_keys.private_key.to_bytes_be();
-  us.user_public_key = user_keys.public_key;
+  us.user_signer = std::make_shared<const crypto::PreparedKey>(user_keys.public_key);
   for (auto& c : clouds_) {
     ks.file_tokens.push_back(
         c->issue_token(user_id, options_.fs_id, cloud::TokenScope::kFiles));
@@ -85,12 +86,10 @@ RockFsAgent& Deployment::add_user(const std::string& user_id, const AgentOptions
 
   // Shared-namespace writer roster: every user trusts every other user's
   // DepSky signer, so a file last written by a peer verifies at read time.
-  const Bytes new_pub = crypto::point_encode(secrets_[user_id].user_public_key);
   for (auto& [other_id, other_agent] : agents_) {
     if (other_id == user_id) continue;
-    other_agent->trust_writer(new_pub);
-    agents_[user_id]->trust_writer(
-        crypto::point_encode(secrets_[other_id].user_public_key));
+    other_agent->trust_writer(secrets_[user_id].user_signer);
+    agents_[user_id]->trust_writer(secrets_[other_id].user_signer);
   }
 
   if (auto st = login_default(user_id); !st.ok()) {
@@ -171,7 +170,7 @@ std::vector<cloud::AccessToken> Deployment::admin_tokens() {
 }
 
 std::shared_ptr<depsky::DepSkyClient> Deployment::make_admin_storage(
-    std::vector<Bytes> trusted_writers, std::string session) {
+    std::vector<crypto::PreparedKeyPtr> trusted_writers, std::string session) {
   depsky::DepSkyConfig storage_cfg;
   storage_cfg.clouds = clouds_;
   storage_cfg.f = options_.f;
@@ -186,11 +185,11 @@ std::shared_ptr<depsky::DepSkyClient> Deployment::make_admin_storage(
                                                 setup_drbg_.generate(32));
 }
 
-std::vector<Bytes> Deployment::user_signers() const {
-  std::vector<Bytes> signers;
+std::vector<crypto::PreparedKeyPtr> Deployment::user_signers() const {
+  std::vector<crypto::PreparedKeyPtr> signers;
   for (const auto& [user_id, us] : secrets_) {
     (void)user_id;
-    signers.push_back(crypto::point_encode(us.user_public_key));
+    signers.push_back(us.user_signer);
   }
   return signers;
 }
@@ -492,8 +491,7 @@ Result<Deployment::VerdictOutcome> Deployment::apply_audit_verdict(
 LogScrubber Deployment::make_scrubber(const std::string& user_id, ScrubOptions options) {
   // The scrubber reads (and repairs) units written by the user and by the
   // admin chain: trust both signers.
-  auto storage =
-      make_admin_storage({crypto::point_encode(secrets(user_id).user_public_key)}, "scrub");
+  auto storage = make_admin_storage({secrets(user_id).user_signer}, "scrub");
   return LogScrubber(user_id, std::move(storage), admin_tokens(), coordination_, clock_,
                      options);
 }

@@ -78,7 +78,9 @@ class Deployment {
     ShareHolder external_holder;           // key on the USB stick / smartcard
     std::vector<crypto::Point> holder_pubs;
     fssagg::FssAggKeys chain_keys;         // admin's copy of (A_1, B_1)
-    crypto::Point user_public_key;         // PU_U
+    /// PU_U, prepared for DepSky metadata checks: every peer agent and
+    /// admin storage of this deployment checks the user's signatures with it.
+    crypto::PreparedKeyPtr user_signer;
     bool device_share_destroyed = false;
 
     /// Every PVSS holder, in share order: device, coordination, external.
@@ -177,6 +179,9 @@ class Deployment {
 
   /// Public half of the admin keypair (verifies rotation manifests).
   Bytes admin_public_key() const;
+  /// The same key prepared for DepSky metadata checks, shared by every agent
+  /// (recovered files carry the admin's signature).
+  const crypto::PreparedKeyPtr& admin_signer() const noexcept { return admin_signer_; }
 
   // ---- malicious-cloud resilience (depsky/reconfig.h) ----
 
@@ -229,10 +234,10 @@ class Deployment {
   /// `session` names it to the freshness witness. Recovery, rotation and
   /// reconfiguration use {user_signers(), "admin"}, the scrubber
   /// {its user's signer, "scrub"}.
-  std::shared_ptr<depsky::DepSkyClient> make_admin_storage(std::vector<Bytes> trusted_writers,
-                                                           std::string session);
+  std::shared_ptr<depsky::DepSkyClient> make_admin_storage(
+      std::vector<crypto::PreparedKeyPtr> trusted_writers, std::string session);
   /// Every user's DepSky signer, in user-id order.
-  std::vector<Bytes> user_signers() const;
+  std::vector<crypto::PreparedKeyPtr> user_signers() const;
 
   /// login_default, falling back to login_with_external.
   Status relogin(const std::string& user_id);
@@ -262,6 +267,7 @@ class Deployment {
   std::shared_ptr<coord::CoordinationService> coordination_;
   crypto::Drbg setup_drbg_;
   crypto::KeyPair admin_keys_;  // PU_A/PR_A: signs recovered file versions
+  crypto::PreparedKeyPtr admin_signer_;  // PU_A, prepared
   sim::CrashSchedulePtr crash_;
   std::map<std::string, std::unique_ptr<RockFsAgent>> agents_;
   std::map<std::string, UserSecrets> secrets_;

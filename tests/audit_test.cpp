@@ -201,8 +201,7 @@ TEST_F(DetectionFixture, EntropyRefinementDropsLowEntropyRewrites) {
   cfg.f = 1;
   crypto::Drbg drbg(to_bytes("audit-test"));
   cfg.writer = crypto::generate_keypair(drbg);
-  cfg.trusted_writers.push_back(
-      crypto::point_encode(dep.secrets("alice").user_public_key));
+  cfg.trusted_writers.push_back(dep.secrets("alice").user_signer);
   depsky::DepSkyClient client(std::move(cfg), to_bytes("seed"));
 
   const auto confirmed = analyzer.filter_by_entropy(

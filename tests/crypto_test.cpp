@@ -621,6 +621,53 @@ TEST(Secp256k1, ScalarMulSumMatchesDoubleAndAdd) {
   EXPECT_TRUE(sum({{a, g}, {b, q}}).infinity);
 }
 
+// The two no-inversion checks agree with the affine sums they stand for:
+// scalar_mul_sum_equals with scalar_mul_sum, comb_sum_equals with the
+// a*G + b*P of scalar_mul_sum (which ScalarMulSumMatchesDoubleAndAdd holds
+// to the reference), on the comb scalars, a key equal to G (both walks then
+// share a table, and a + b == n meets the identity) and one off by G.
+TEST(Secp256k1, JacobianComparisonsMatchTheAffineSums) {
+  const std::vector<Uint256> ks = multiply_scalars();
+  const Point g = generator();
+  const Point p = scalar_mul(Uint256::from_hex("5eed0f5ca1a7b0b1"), g);
+  const Comb g_comb(g);
+  const Comb p_comb(p);
+  using Terms = std::vector<std::pair<Uint256, Point>>;
+  for (std::size_t i = 0; i < ks.size(); ++i) {
+    const Uint256& a = ks[i];
+    const Uint256& b = ks[(i * 7 + 3) % ks.size()];
+    const std::string ab = a.to_hex() + " " + b.to_hex();
+    for (const auto& [q, comb] : {std::pair<Point, const Comb*>{p, &p_comb}, {g, &g_comb}}) {
+      const Point sum = scalar_mul_sum(Terms{{a, g}, {b, q}});
+      const Point off = point_add(sum, g);
+      EXPECT_TRUE(comb_sum_equals(a, b, *comb, sum)) << ab;
+      EXPECT_FALSE(comb_sum_equals(a, b, *comb, off)) << ab;
+      EXPECT_TRUE(scalar_mul_sum_equals(Terms{{a, g}, {b, q}}, sum)) << ab;
+      EXPECT_FALSE(scalar_mul_sum_equals(Terms{{a, g}, {b, q}}, off)) << ab;
+      EXPECT_EQ(comb_sum_equals(a, b, *comb, point_negate(sum)), sum.infinity) << ab;
+    }
+    // a*G + (n - a)*G is the identity, which equals only the identity.
+    const Uint256 minus_a = scalar_sub(Uint256(0), scalar_from_bytes(a.to_bytes_be()));
+    EXPECT_TRUE(comb_sum_equals(a, minus_a, g_comb, Point{})) << a.to_hex();
+    EXPECT_FALSE(comb_sum_equals(a, minus_a, g_comb, g)) << a.to_hex();
+    EXPECT_TRUE(scalar_mul_sum_equals(Terms{{a, p}, {minus_a, p}}, Point{})) << a.to_hex();
+  }
+  // 1*G + 1*G doubles inside the mixed addition.
+  EXPECT_TRUE(comb_sum_equals(Uint256(1), Uint256(1), g_comb, point_double(g)));
+  // (1, y) written with x = 1 + p is not the sum (1, y), as it is not to_affine's.
+  const Point q{Uint256(1),
+                Uint256::from_hex(
+                    "4218f20ae6c646b363db68605822fb14264ca8d2587fdd6fbc750d587e76a7ee"),
+                false};
+  ASSERT_TRUE(on_curve(q));
+  Uint256 one_plus_p;
+  add_with_carry(curve_p(), Uint256(1), one_plus_p);
+  EXPECT_TRUE(comb_sum_equals(Uint256(0), Uint256(1), Comb(q), q));
+  EXPECT_FALSE(comb_sum_equals(Uint256(0), Uint256(1), Comb(q), Point{one_plus_p, q.y, false}));
+  EXPECT_FALSE(scalar_mul_sum_equals(Terms{{Uint256(1), q}}, Point{one_plus_p, q.y, false}));
+  EXPECT_THROW(Comb(Point{}), std::invalid_argument);
+}
+
 TEST(Secp256k1, FieldInverse) {
   const Uint256 a = Uint256::from_hex("deadbeefcafebabe");
   EXPECT_EQ(fe_mul(a, fe_inv(a)), Uint256(1));
@@ -715,6 +762,104 @@ TEST(Schnorr, KeysAndSignaturesArePinned) {
   }
   EXPECT_EQ(hex_encode(digest.finish()),
             "fe3f1de56f32120986e7ea8430a50529b9d9db29a6420facfa05ba96c5f2b5c1");
+}
+
+// ---------------------------------------------------------------- PreparedKey
+
+// A signature's bad variants: a flip of every byte of R and of s, R off the
+// curve, R as the identity's encoding (padded to size, and alone), s == n,
+// s == n + 1 and s == 2^256 - 1, and sizes one short and one long.
+std::vector<Bytes> bad_signatures(const Bytes& sig, unsigned salt) {
+  std::vector<Bytes> bad;
+  for (std::size_t i = 0; i < sig.size(); ++i) {
+    Bytes b = sig;
+    b[i] ^= static_cast<Byte>(1u << ((i + salt) % 8));
+    bad.push_back(std::move(b));
+  }
+  Bytes off_curve = sig;
+  off_curve[64] ^= 0x01;  // y's last byte: (x, y ^ 1) is not on the curve
+  bad.push_back(off_curve);
+  Bytes identity(65, 0x00);
+  append(identity, BytesView(sig).subspan(65));
+  bad.push_back(identity);
+  Bytes bare{0x00};
+  append(bare, BytesView(sig).subspan(65));
+  bad.push_back(bare);
+  Uint256 n_plus_1;
+  add_with_carry(curve_n(), Uint256(1), n_plus_1);
+  for (const Uint256& s : {curve_n(), n_plus_1, Uint256::from_limbs(~0ULL, ~0ULL, ~0ULL, ~0ULL)}) {
+    Bytes b(sig.begin(), sig.begin() + 65);
+    append(b, s.to_bytes_be());
+    bad.push_back(std::move(b));
+  }
+  bad.emplace_back(sig.begin(), sig.end() - 1);
+  Bytes longer = sig;
+  longer.push_back(0x00);
+  bad.push_back(longer);
+  return bad;
+}
+
+// The prepared check is a faster path to verify()'s verdict: over random
+// keys (plus G and -G, whose combs match G's) and messages, it accepts what
+// verify() accepts and rejects a tampered message, every bad_signatures()
+// variant and another key's signature.
+TEST(PreparedKey, AgreesWithTheOneOffCheck) {
+  Drbg drbg(to_bytes("prepared-key"));
+  std::vector<KeyPair> keys{keypair_from_private(Uint256(1).to_bytes_be())};
+  Uint256 n_minus_1;
+  sub_with_borrow(curve_n(), Uint256(1), n_minus_1);
+  keys.push_back(keypair_from_private(n_minus_1.to_bytes_be()));
+  for (int i = 0; i < 6; ++i) keys.push_back(generate_keypair(drbg));
+  const KeyPair other = generate_keypair(drbg);
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const KeyPair& kp = keys[k];
+    const PreparedKey key(kp.public_key);
+    ASSERT_EQ(key.encoded(), kp.public_bytes());
+    for (unsigned m = 0; m < 3; ++m) {
+      const Bytes msg = drbg.generate(1 + 40 * m);
+      const Bytes sig = sign(kp, msg);
+      const std::string at = "key " + std::to_string(k) + " message " + std::to_string(m);
+      EXPECT_TRUE(key.verify(msg, sig)) << at;
+      EXPECT_TRUE(verify(kp.public_key, msg, sig)) << at;
+      Bytes tampered = msg;
+      tampered[0] ^= 0x80;
+      EXPECT_FALSE(key.verify(tampered, sig)) << at;
+      EXPECT_FALSE(verify(kp.public_key, tampered, sig)) << at;
+      const Bytes foreign = sign(other, msg);
+      EXPECT_FALSE(key.verify(msg, foreign)) << at;
+      EXPECT_FALSE(verify(kp.public_key, msg, foreign)) << at;
+      const std::vector<Bytes> bad = bad_signatures(sig, m + static_cast<unsigned>(k));
+      for (std::size_t b = 0; b < bad.size(); ++b) {
+        EXPECT_FALSE(key.verify(msg, bad[b])) << at << " bad " << b;
+        EXPECT_FALSE(verify(kp.public_key, msg, bad[b])) << at << " bad " << b;
+      }
+    }
+  }
+}
+
+// The comb the first check builds: the first and last entry of every row
+// equal j * 16^i * P from scalar_mul, whose k*P runs the GLV chain and
+// never reads a comb of P. One batch inversion makes all 960 entries
+// affine, so an inverse handed to the wrong entry shows here.
+TEST(PreparedKey, CombRowsMatchScalarMul) {
+  Drbg drbg(to_bytes("prepared-comb"));
+  const KeyPair kp = generate_keypair(drbg);
+  const PreparedKey key(kp.public_key);
+  const Comb& comb = key.comb();
+  EXPECT_EQ(&key.comb(), &comb);  // built once
+  for (std::size_t i = 0; i < Comb::kRows; ++i) {
+    Uint256 sixteen_i;
+    sixteen_i.limb[i / 16] = 1ULL << (4 * (i % 16));
+    const Uint256 fifteen_i = scalar_mul_mod_n(sixteen_i, Uint256(15));
+    EXPECT_EQ(comb.at(i, 1), scalar_mul(sixteen_i, kp.public_key)) << "row " << i;
+    EXPECT_EQ(comb.at(i, Comb::kDigits), scalar_mul(fifteen_i, kp.public_key)) << "row " << i;
+  }
+}
+
+// Only a point verify() could accept something under becomes a key.
+TEST(PreparedKey, RejectsTheIdentityAndOffCurvePoints) {
+  EXPECT_THROW(PreparedKey(Point{}), std::invalid_argument);
+  EXPECT_THROW(PreparedKey(Point{Uint256(1), Uint256(0), false}), std::invalid_argument);
 }
 
 TEST(Schnorr, DeterministicSignatures) {

@@ -167,7 +167,8 @@ TEST(AppendPipeline, PartialCommitRetryDoesNotForkChain) {
   cfg.clouds = dep.clouds();
   cfg.f = 1;
   cfg.writer = crypto::generate_keypair(drbg);
-  cfg.trusted_writers.push_back(crypto::point_encode(cfg.writer.public_key));
+  cfg.trusted_writers.push_back(
+      std::make_shared<const crypto::PreparedKey>(cfg.writer.public_key));
   auto storage =
       std::make_shared<depsky::DepSkyClient>(std::move(cfg), drbg.generate(32));
   std::vector<cloud::AccessToken> tokens;

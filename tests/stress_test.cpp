@@ -13,11 +13,14 @@
 //      emulated wall-clock latency), a cancelled straggler landing late
 //      never corrupts quorum results or double-counts put.data.{bytes,acks},
 //   4. the derived join rule — latency emulation without a pool still joins
-//      as a barrier, so the straggler's ack is always included.
+//      as a barrier, so the straggler's ack is always included,
+//   5. a shared prepared signer key — threads whose first checks against
+//      it race (the first one builds its comb) all reach verify()'s verdicts.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 
 #include "common/executor.h"
 #include "common/rng.h"
+#include "crypto/signature.h"
 #include "depsky/client.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -330,6 +334,57 @@ TEST(StressStraggler, EmulatedLatencyWithoutPoolIncludesEveryBranch) {
   }
   EXPECT_EQ(total_acks, static_cast<std::uint64_t>(kWrites) * clouds.size());
   EXPECT_EQ(total_bytes, total_acks * blob);
+}
+
+// ---- 5. Concurrent first checks against one prepared key ----
+
+// Agents of one deployment share prepared keys (the admin's, each user's),
+// and a key's first check builds its comb. Each round, several threads
+// start at one moment on a fresh shared key, each at its own offset into
+// valid, tampered and foreign signatures, so every first check needs the
+// comb at once. Every verdict must equal the one-off verify()'s, and every
+// thread must end up reading the one comb.
+TEST(StressPreparedKey, ConcurrentFirstChecksAgreeWithTheOneOffCheck) {
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 6;
+  crypto::Drbg drbg{to_bytes("prepared-stress")};
+  for (int round = 0; round < kRounds; ++round) {
+    const crypto::KeyPair kp = crypto::generate_keypair(drbg);
+    const crypto::KeyPair other = crypto::generate_keypair(drbg);
+    std::vector<std::pair<Bytes, Bytes>> checks;  // (message, signature)
+    std::vector<bool> expected;
+    for (std::size_t i = 0; i < 2 * kThreads; ++i) {
+      Bytes msg = drbg.generate(64);
+      Bytes sig = crypto::sign(i % 3 == 2 ? other : kp, msg);
+      if (i % 3 == 1) sig[70] ^= 0x01;  // a byte of s
+      expected.push_back(crypto::verify(kp.public_key, msg, sig));
+      checks.emplace_back(std::move(msg), std::move(sig));
+    }
+
+    const auto key = std::make_shared<const crypto::PreparedKey>(kp.public_key);
+    std::vector<std::vector<bool>> verdicts(kThreads);
+    std::vector<const crypto::Comb*> combs(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (std::size_t j = 0; j < checks.size(); ++j) {
+          const auto& [msg, sig] = checks[(t + j) % checks.size()];
+          verdicts[t].push_back(key->verify(msg, sig));
+        }
+        combs[t] = &key->comb();
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(combs[t], combs[0]) << "round " << round;
+      for (std::size_t j = 0; j < checks.size(); ++j) {
+        EXPECT_EQ(verdicts[t][j], expected[(t + j) % checks.size()])
+            << "round " << round << " thread " << t << " check " << j;
+      }
+    }
+  }
 }
 
 }  // namespace
