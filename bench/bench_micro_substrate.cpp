@@ -164,6 +164,31 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
+// The same check under a prepared key whose comb the first check built (a
+// DepSky roster key after its first metadata check).
+void BM_SchnorrVerifyPrepared(benchmark::State& state) {
+  crypto::Drbg drbg(to_bytes("bench"));
+  const crypto::KeyPair kp = crypto::generate_keypair(drbg);
+  const Bytes msg = make_data(256);
+  const Bytes sig = crypto::sign(kp, msg);
+  const crypto::PreparedKey key(kp.public_key);
+  if (!key.verify(msg, sig)) state.SkipWithError("prepared check rejects a valid signature");
+  for (auto _ : state) benchmark::DoNotOptimize(key.verify(msg, sig));
+}
+BENCHMARK(BM_SchnorrVerifyPrepared);
+
+// Preparing one key and building its comb: what a roster key's first check
+// pays on top of the check.
+void BM_SchnorrPrepareKey(benchmark::State& state) {
+  crypto::Drbg drbg(to_bytes("bench"));
+  const crypto::Point p = crypto::generate_keypair(drbg).public_key;
+  for (auto _ : state) {
+    const crypto::PreparedKey key(p);
+    benchmark::DoNotOptimize(&key.comb());
+  }
+}
+BENCHMARK(BM_SchnorrPrepareKey);
+
 // k*G through the comb (sign's multiply) and k*P through the one-term GLV
 // sum. Each iteration draws a fresh DRBG scalar, which costs about 2 us, a
 // few percent of a k*G.
