@@ -10,15 +10,26 @@
 // that range, not the whole store. Each tuple also carries its insertion
 // number, which gives every answer and the checkpoint their oldest-first
 // order.
+//
+// An honest rdall answer to a template whose exact fields all lead is kept,
+// as a shared immutable buffer keyed by the template's encoded exact prefix,
+// until a write inserts or removes a tuple in that range: a repeat read of an
+// unchanged range costs one lookup. The kept answers are never part of a
+// checkpoint; a restored replica starts with none.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/result.h"
 #include "coord/tuple.h"
+
+namespace rockfs::obs {
+class Counter;
+}  // namespace rockfs::obs
 
 namespace rockfs::coord {
 
@@ -36,8 +47,8 @@ class Replica {
   std::optional<Tuple> rdp(const Template& pattern) const;
   /// Takes (removes and returns) the oldest matching tuple.
   std::optional<Tuple> inp(const Template& pattern);
-  /// All matching tuples, oldest first.
-  std::vector<Tuple> rdall(const Template& pattern) const;
+  /// All matching tuples, oldest first (the decoded rdall_shared answer).
+  std::vector<Tuple> rdall(const Template& pattern);
   /// Atomically: insert `tuple` iff no tuple matches `pattern`. True if inserted.
   bool cas(const Template& pattern, const Tuple& tuple);
   /// Atomically: remove all tuples matching `pattern`, insert `tuple`.
@@ -55,7 +66,12 @@ class Replica {
   /// encode_tuples), spliced from the stored encodings. Byte-identical to
   /// encoding the Tuple answers: the size of these bytes prices the reply.
   Bytes rdp_answer(const Template& pattern) const;
-  Bytes rdall_answer(const Template& pattern) const;
+  Bytes rdall_answer(const Template& pattern) { return *rdall_shared(pattern); }
+  /// rdall's answer as a shared buffer. An answer to a template with no
+  /// exact field after a wildcard is kept once spliced and handed out again
+  /// (coord.rdall.reused) until a write lands in its range; every other read
+  /// splices its answer (coord.rdall.spliced).
+  std::shared_ptr<const Bytes> rdall_shared(const Template& pattern);
 
   // ---- durability ----
 
@@ -72,21 +88,34 @@ class Replica {
  private:
   /// Unsigned lexicographic order on encodings, by memcmp: std::less<Bytes>
   /// goes through vector<unsigned char>'s operator<=>, where GCC 12 at -O3
-  /// reports a false -Wstringop-overread.
+  /// reports a false -Wstringop-overread. Transparent, so a lookup can take
+  /// a view of a key.
   struct ByteOrder {
+    using is_transparent = void;
     bool operator()(BytesView a, BytesView b) const noexcept;
   };
   /// Encoding -> insertion number (a multimap: a tuple space may hold equal
   /// tuples).
   using Store = std::multimap<Bytes, std::uint64_t, ByteOrder>;
+  /// A template's encoded exact prefix -> the rdall answer kept for it.
+  using Answers = std::map<Bytes, std::shared_ptr<const Bytes>, ByteOrder>;
+  /// How a template is looked up (replica.cpp).
+  struct Lookup;
 
-  /// The tuples matching `pattern`, oldest first.
-  std::vector<Store::const_iterator> find(const Template& pattern) const;
-  void insert(Bytes encoding) { store_.emplace(std::move(encoding), next_++); }
+  /// The tuples matching the looked-up template, oldest first.
+  std::vector<Store::const_iterator> find(const Lookup& lookup) const;
+  /// Every write goes through these two; each drops the kept answers whose
+  /// range holds the tuple.
+  void insert(Bytes encoding);
+  void erase(Store::const_iterator it);
+  void drop_answers(BytesView encoding);
 
   std::string name_;
   Store store_;
   std::uint64_t next_ = 0;  // insertion number of the next tuple
+  Answers answers_;
+  obs::Counter* reused_ = nullptr;   // coord.rdall.reused
+  obs::Counter* spliced_ = nullptr;  // coord.rdall.spliced
   bool byzantine_ = false;
 };
 

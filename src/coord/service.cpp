@@ -1,6 +1,7 @@
 #include "coord/service.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "obs/metrics.h"
@@ -15,6 +16,14 @@ Bytes encode_size(std::size_t v) {
   Bytes out;
   append_u64(out, v);
   return out;
+}
+
+// The bytes of a replica's answer, in either form an op returns it.
+BytesView bytes_of(const Bytes& answer) { return answer; }
+BytesView bytes_of(const std::shared_ptr<const Bytes>& answer) { return *answer; }
+
+bool same_bytes(BytesView a, BytesView b) {
+  return a.size() == b.size() && (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
 }
 
 }  // namespace
@@ -32,8 +41,8 @@ CoordinationService::CoordinationService(sim::SimClockPtr clock, std::size_t f,
   }
 }
 
-template <typename Op>
-sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op) {
+template <typename Op, typename Answer>
+sim::Timed<Result<Answer>> CoordinationService::execute(const char* name, Op&& op) {
   // `op(replica)` must return the canonical encoding of the replica's answer.
   obs::Span span = obs::tracer().span("coord.op");
   span.set_label(name);
@@ -42,7 +51,7 @@ sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op
   // gather 2f+1 of the 3f+1 votes, and quorum_delay and parallel_delay do not
   // depend on the order of the delays, so the tallies need no order.
   struct Tally {
-    Bytes answer;
+    Answer answer;
     std::vector<sim::SimClock::Micros> delays;
   };
   std::vector<Tally> tallies;
@@ -51,13 +60,15 @@ sim::Timed<Result<Bytes>> CoordinationService::execute(const char* name, Op&& op
     // vote this round; a tail-latency storm slows its reply instead.
     const auto actions = faults_[i]->on_operation(sim::FaultOp::kControl);
     if (actions.fail != ErrorCode::kOk) continue;
-    Bytes answer = op(*replicas_[i]);
+    Answer answer = op(*replicas_[i]);
+    const BytesView bytes = bytes_of(answer);
     // Request + small reply; payload sizes are second-order for metadata ops.
-    auto delay = nets_[i]->rpc_delay_us(128, answer.size() + 64);
+    auto delay = nets_[i]->rpc_delay_us(128, bytes.size() + 64);
     delay = static_cast<sim::SimClock::Micros>(static_cast<double>(delay) *
                                               actions.latency_factor);
-    auto same = std::find_if(tallies.begin(), tallies.end(),
-                             [&](const Tally& t) { return t.answer == answer; });
+    auto same = std::find_if(tallies.begin(), tallies.end(), [&](const Tally& t) {
+      return same_bytes(bytes_of(t.answer), bytes);
+    });
     if (same == tallies.end()) {
       tallies.push_back({std::move(answer), {delay}});
     } else {
@@ -116,14 +127,20 @@ sim::Timed<Result<std::optional<Tuple>>> CoordinationService::inp(const Template
 }
 
 sim::Timed<Result<std::vector<Tuple>>> CoordinationService::rdall(const Template& pattern) {
-  auto r = execute("rdall", [&](Replica& rep) {
-    if (!rep.byzantine()) return rep.rdall_answer(pattern);
+  auto r = rdall_encoded(pattern);
+  if (!r.value.ok()) return {Error{r.value.error()}, r.delay};
+  return {decode_tuples(**r.value), r.delay};
+}
+
+sim::Timed<Result<std::shared_ptr<const Bytes>>> CoordinationService::rdall_encoded(
+    const Template& pattern) {
+  return execute("rdall", [&](Replica& rep) -> std::shared_ptr<const Bytes> {
+    if (!rep.byzantine()) return rep.rdall_shared(pattern);
+    // The lie is told afresh on every read; the replica keeps honest answers.
     auto ts = rep.rdall(pattern);
     for (auto& t : ts) t = rep.maybe_lie(std::move(t));
-    return encode_tuples(ts);
+    return std::make_shared<const Bytes>(encode_tuples(ts));
   });
-  if (!r.value.ok()) return {Error{r.value.error()}, r.delay};
-  return {decode_tuples(*r.value), r.delay};
 }
 
 sim::Timed<Result<bool>> CoordinationService::cas(const Template& pattern,

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/result.h"
@@ -33,6 +34,9 @@ class CoordinationService {
   sim::Timed<Result<std::optional<Tuple>>> rdp(const Template& pattern);
   sim::Timed<Result<std::optional<Tuple>>> inp(const Template& pattern);
   sim::Timed<Result<std::vector<Tuple>>> rdall(const Template& pattern);
+  /// rdall's voted answer undecoded (encode_tuples): the winning replica's
+  /// shared buffer, which that replica may hand out again (Replica::rdall_shared).
+  sim::Timed<Result<std::shared_ptr<const Bytes>>> rdall_encoded(const Template& pattern);
   sim::Timed<Result<bool>> cas(const Template& pattern, const Tuple& tuple);
   sim::Timed<Result<std::size_t>> replace(const Template& pattern, const Tuple& tuple);
   /// Conditional replace (see Replica::swap): inserts `tuple` only when
@@ -57,9 +61,10 @@ class CoordinationService {
 
  private:
   /// Runs `op` on every live replica, votes, and returns the winning encoded
-  /// answer (>= 2f+1 identical votes) with the quorum completion delay.
-  template <typename Op>
-  sim::Timed<Result<Bytes>> execute(const char* name, Op&& op);
+  /// answer (>= 2f+1 votes with identical bytes) with the quorum completion
+  /// delay. `op` returns the encoding as Bytes or as a shared buffer.
+  template <typename Op, typename Answer = std::invoke_result_t<Op&, Replica&>>
+  sim::Timed<Result<Answer>> execute(const char* name, Op&& op);
 
   sim::SimClockPtr clock_;
   std::size_t f_;

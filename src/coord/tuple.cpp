@@ -1,6 +1,7 @@
 #include "coord/tuple.h"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace rockfs::coord {
@@ -77,14 +78,31 @@ Bytes encode_tuples(const std::vector<Tuple>& ts) {
   return out;
 }
 
-std::vector<Tuple> decode_tuples(BytesView b) {
-  std::size_t off = 0;
-  const std::uint32_t n = read_u32(b, off);
-  off += 4;
+namespace {
+
+// Decodes tuples `first`..`n` - 1 of an rdall answer, tuple `first` at `off`.
+std::vector<Tuple> decode_from(BytesView b, std::uint32_t first, std::uint32_t n,
+                               std::size_t off) {
   std::vector<Tuple> out;
-  out.reserve(std::min<std::size_t>(n, b.size() / 4));
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(deserialize_tuple(next_lp(b, &off)));
+  out.reserve(std::min<std::size_t>(n - first, b.size() / 4));
+  for (std::uint32_t i = first; i < n; ++i) out.push_back(deserialize_tuple(next_lp(b, &off)));
   return out;
+}
+
+}  // namespace
+
+std::vector<Tuple> decode_tuples(BytesView b) { return decode_from(b, 0, read_u32(b, 0), 4); }
+
+std::optional<std::vector<Tuple>> decode_tuples_after(BytesView known, BytesView answer) {
+  const std::uint32_t k = read_u32(known, 0);
+  const std::uint32_t n = read_u32(answer, 0);
+  // Both are valid encodings, so equal bytes past the counts are equal
+  // leading tuples.
+  if (n < k || answer.size() < known.size() ||
+      std::memcmp(known.data() + 4, answer.data() + 4, known.size() - 4) != 0) {
+    return std::nullopt;
+  }
+  return decode_from(answer, k, n, known.size());
 }
 
 }  // namespace rockfs::coord

@@ -43,5 +43,10 @@ Bytes encode_opt_tuple(const std::optional<Tuple>& t);
 std::optional<Tuple> decode_opt_tuple(BytesView b);
 Bytes encode_tuples(const std::vector<Tuple>& ts);
 std::vector<Tuple> decode_tuples(BytesView b);
+/// The tuples that the rdall answer `answer` holds after those of the
+/// earlier answer `known`: none when the two are equal, nullopt unless
+/// `known`'s tuples are `answer`'s leading tuples. That is one memcmp of
+/// `known`'s bytes past its count; only the added tuples are decoded.
+std::optional<std::vector<Tuple>> decode_tuples_after(BytesView known, BytesView answer);
 
 }  // namespace rockfs::coord

@@ -483,9 +483,9 @@ std::unique_ptr<LogService> make_resumed_log_service(
   return service;
 }
 
-sim::Timed<Result<std::vector<coord::Tuple>>> read_log_tuples(
+sim::Timed<Result<std::shared_ptr<const Bytes>>> read_log_tuples(
     coord::CoordinationService& coord, const std::string& user) {
-  return coord.rdall(coord::Template::of(
+  return coord.rdall_encoded(coord::Template::of(
       {kRecordTag, user, "*", "*", "*", "*", "*", "*", "*", "*", "*", "*", "*"}));
 }
 
@@ -506,7 +506,7 @@ sim::Timed<Result<std::vector<LogRecord>>> read_log_records(
     coord::CoordinationService& coord, const std::string& user) {
   auto tuples = read_log_tuples(coord, user);
   if (!tuples.value.ok()) return {Error{tuples.value.error()}, tuples.delay};
-  return {decode_log_records(*tuples.value), tuples.delay};
+  return {decode_log_records(coord::decode_tuples(**tuples.value)), tuples.delay};
 }
 
 }  // namespace rockfs::core

@@ -255,9 +255,9 @@ struct StoredAggregates {
 sim::Timed<Result<StoredAggregates>> read_aggregates(coord::CoordinationService& coord,
                                                      const std::string& user);
 
-/// Reads `user`'s log record tuples undecoded, in the coordination
-/// service's answer order (oldest first).
-sim::Timed<Result<std::vector<coord::Tuple>>> read_log_tuples(
+/// Reads `user`'s log record tuples undecoded: the coordination service's
+/// rdall answer (encode_tuples, oldest first) as the replica's shared buffer.
+sim::Timed<Result<std::shared_ptr<const Bytes>>> read_log_tuples(
     coord::CoordinationService& coord, const std::string& user);
 
 /// Decodes log record tuples and orders them by seq; records with equal

@@ -54,14 +54,15 @@ void RecoveryService::set_crash_schedule(sim::CrashSchedulePtr crash) {
   recovery_log_->set_crash_schedule(crash_);
 }
 
-Status RecoveryService::RememberedChain::take(std::vector<coord::Tuple> answer) {
+Status RecoveryService::RememberedChain::take(std::shared_ptr<const Bytes> answer) {
   std::vector<LogRecord>& records = audit_.records;
-  const std::size_t prefix = tuples_.size();
-  bool extends = prefix > 0 && answer.size() >= prefix &&
-                 std::equal(tuples_.begin(), tuples_.end(), answer.begin());
+  const std::size_t prefix = records.size();  // one record per remembered tuple
+  std::optional<std::vector<coord::Tuple>> added;
+  if (prefix > 0) added = coord::decode_tuples_after(*answer_, *answer);
+  bool extends = added.has_value();
   std::vector<LogRecord> tail;
-  for (std::size_t i = prefix; extends && i < answer.size(); ++i) {
-    auto r = LogRecord::from_tuple(answer[i]);
+  for (std::size_t i = 0; extends && i < added->size(); ++i) {
+    auto r = LogRecord::from_tuple((*added)[i]);
     // The prefix decoded before, so decoding the whole answer would fail on
     // this same tuple.
     if (!r.ok()) return Error{r.error()};
@@ -74,13 +75,14 @@ Status RecoveryService::RememberedChain::take(std::vector<coord::Tuple> answer) 
     records.insert(records.end(), std::make_move_iterator(tail.begin()),
                    std::make_move_iterator(tail.end()));
   } else {
-    auto decoded = decode_log_records(answer);
+    const std::vector<coord::Tuple> tuples = coord::decode_tuples(*answer);
+    auto decoded = decode_log_records(tuples);
     if (!decoded.ok()) return Error{decoded.error()};
-    obs::metrics().counter("recovery.audit.decoded").add(answer.size());
+    obs::metrics().counter("recovery.audit.decoded").add(tuples.size());
     records = std::move(*decoded);
     verifier_.reset();
   }
-  tuples_ = std::move(answer);
+  answer_ = std::move(answer);
   return Status{};
 }
 

@@ -154,21 +154,22 @@ class RecoveryService {
   void set_crash_schedule(sim::CrashSchedulePtr crash);
 
  private:
-  /// What the audits remember of one chain between calls: the record tuples
-  /// the coordination service last returned, their records in seq order and
-  /// the FssAgg verifier after the last of them. take() then settle() is the
-  /// one audit path of audit_chain and audit_admin_log: every audit still
-  /// reads the whole chain, but decodes and MAC-checks only what is new.
+  /// What the audits remember of one chain between calls: the rdall answer
+  /// the coordination service last returned (the replica's shared buffer),
+  /// its records in seq order and the FssAgg verifier after the last of
+  /// them. take() then settle() is the one audit path of audit_chain and
+  /// audit_admin_log: every audit still reads the whole chain, but decodes
+  /// and MAC-checks only what is new.
   class RememberedChain {
    public:
-    /// Takes a fresh rdall answer. Confirms the remembered prefix tuple for
-    /// tuple and decodes only the tuples past it. Decodes the whole answer
-    /// instead (decode_log_records, and the verifier restarts from A_1/B_1)
-    /// when it remembers no tuple, when a prefix tuple changed, went missing
-    /// or moved, or when the tail's seqs do not strictly increase from the
-    /// prefix's last. When a tuple does not decode it fails and keeps what
-    /// it remembered.
-    Status take(std::vector<coord::Tuple> answer);
+    /// Takes a fresh rdall answer. Confirms the remembered prefix by bytes
+    /// (coord::decode_tuples_after) and decodes only the tuples past it.
+    /// Decodes the whole answer instead (decode_log_records, and the
+    /// verifier restarts from A_1/B_1) when it remembers no tuple, when a
+    /// prefix tuple changed, went missing or moved, or when the tail's seqs
+    /// do not strictly increase from the prefix's last. When a tuple does
+    /// not decode it fails and keeps what it remembered.
+    Status take(std::shared_ptr<const Bytes> answer);
     /// The records of the last answer taken, seq order.
     const std::vector<LogRecord>& records() const noexcept { return audit_.records; }
     /// MAC-checks the records the verifier has not seen, switching key
@@ -181,7 +182,7 @@ class RecoveryService {
     const LogAudit& clean();
 
    private:
-    std::vector<coord::Tuple> tuples_;               // last answer taken
+    std::shared_ptr<const Bytes> answer_;            // last answer taken
     LogAudit audit_;                                 // its records, seq order
     fssagg::FssAggKeys keys_;                        // where verifier_ started
     std::vector<fssagg::FssAggRotation> rotations_;  // switches verifier_ made

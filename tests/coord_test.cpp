@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "coord/service.h"
 #include "crypto/sha256.h"
+#include "obs/metrics.h"
 #include "scfs/lease.h"
 
 namespace rockfs::coord {
@@ -29,6 +30,36 @@ TEST(TupleSerialize, RoundTrip) {
   const Tuple t{"a", "", "multi word field", "42"};
   EXPECT_EQ(deserialize_tuple(serialize_tuple(t)), t);
   EXPECT_EQ(deserialize_tuple(serialize_tuple(Tuple{})), Tuple{});
+}
+
+TEST(TupleTail, DecodesOnlyWhatALongerAnswerAdds) {
+  const std::vector<Tuple> known = {{"rocklog", "alice", "000000000001", "ab"},
+                                    {"rocklog", "alice", "000000000002", "cd"}};
+  const Bytes known_bytes = encode_tuples(known);
+  std::vector<Tuple> longer = known;
+  longer.push_back({"rocklog", "alice", "000000000003", "ef"});
+  longer.push_back({"rocklog", "alice", "000000000004", ""});
+
+  const auto same = decode_tuples_after(known_bytes, known_bytes);
+  ASSERT_TRUE(same.has_value());
+  EXPECT_TRUE(same->empty());
+  const auto added = decode_tuples_after(known_bytes, encode_tuples(longer));
+  ASSERT_TRUE(added.has_value());
+  EXPECT_EQ(*added, std::vector<Tuple>(longer.begin() + 2, longer.end()));
+
+  // The known answer's last byte differs.
+  std::vector<Tuple> last_byte = longer;
+  last_byte[1][3] = "ce";
+  EXPECT_FALSE(decode_tuples_after(known_bytes, encode_tuples(last_byte)).has_value());
+  // The known answer's last tuple grew a field: its length prefix differs,
+  // and its old bytes still lead the answer's.
+  std::vector<Tuple> length = longer;
+  length[1].push_back("");
+  EXPECT_FALSE(decode_tuples_after(known_bytes, encode_tuples(length)).has_value());
+  // The answer lost a known tuple.
+  EXPECT_FALSE(
+      decode_tuples_after(known_bytes, encode_tuples({known.front()})).has_value());
+  EXPECT_FALSE(decode_tuples_after(known_bytes, encode_tuples({})).has_value());
 }
 
 // ----------------------------------------------------------------- Replica
@@ -364,6 +395,72 @@ TEST_F(ServiceFixture, RdallVotesOnWholeSets) {
   ASSERT_TRUE(all.value.ok());
   EXPECT_EQ(all.value->size(), 2u);
   EXPECT_EQ((*all.value)[1][2], "1");
+}
+
+// Each replica keeps its rdall answer to a template with no exact field
+// after a wildcard until a write lands in the template's range.
+// coord.rdall.reused and coord.rdall.spliced count every replica answer.
+TEST_F(ServiceFixture, RdallReusesAnAnswerUntilItsRangeChanges) {
+  struct Counts {
+    std::uint64_t reused = 0;
+    std::uint64_t spliced = 0;
+    bool operator==(const Counts&) const = default;
+  };
+  const auto read = [&](const Template& pattern, std::size_t expect_tuples) {
+    const auto counter = [](const char* name) { return obs::metrics().counter(name).value(); };
+    const Counts before{counter("coord.rdall.reused"), counter("coord.rdall.spliced")};
+    auto r = svc.rdall(pattern);
+    EXPECT_TRUE(r.value.ok());
+    EXPECT_EQ(r.value.ok() ? r.value->size() : 0, expect_tuples);
+    return Counts{counter("coord.rdall.reused") - before.reused,
+                  counter("coord.rdall.spliced") - before.spliced};
+  };
+  const Template alice = Template::of({"log", "alice", "*"});
+  const Template all = Template::of({"log", "*", "*"});
+  const Template after_wildcard = Template::of({"log", "*", "0"});
+  svc.out({"log", "alice", "0"}).value.expect("out");
+  svc.out({"log", "bob", "0"}).value.expect("out");
+
+  EXPECT_EQ(read(alice, 1), (Counts{0, 4}));
+  EXPECT_EQ(read(alice, 1), (Counts{4, 0}));
+  EXPECT_EQ(read(all, 2), (Counts{0, 4}));
+  // Never kept: an exact field follows a wildcard.
+  EXPECT_EQ(read(after_wildcard, 2), (Counts{0, 4}));
+  EXPECT_EQ(read(after_wildcard, 2), (Counts{0, 4}));
+
+  // Writes into the range: an insertion, a removal, a replace and a swap.
+  svc.out({"log", "alice", "1"}).value.expect("out");
+  EXPECT_EQ(read(alice, 2), (Counts{0, 4}));
+  ASSERT_TRUE(svc.inp(Template::of({"log", "alice", "0"})).value.ok());
+  EXPECT_EQ(read(alice, 1), (Counts{0, 4}));
+  ASSERT_TRUE(svc.replace(Template::of({"log", "alice", "1"}), {"log", "alice", "2"}).value.ok());
+  EXPECT_EQ(read(alice, 1), (Counts{0, 4}));
+  ASSERT_TRUE(svc.swap(Template::of({"log", "alice", "2"}), {"log", "alice", "3"}).value.ok());
+  EXPECT_EQ(read(alice, 1), (Counts{0, 4}));
+
+  // Writes outside it: another user's record lands only in the wider range,
+  // a tuple of another arity or tag in neither; a failed cas writes nothing.
+  EXPECT_EQ(read(all, 2), (Counts{0, 4}));
+  svc.out({"log", "bob", "1"}).value.expect("out");
+  svc.out({"log", "alice"}).value.expect("out");
+  svc.out({"lease", "alice", "0"}).value.expect("out");
+  ASSERT_FALSE(*svc.cas(alice, {"log", "alice", "4"}).value);
+  EXPECT_EQ(read(alice, 1), (Counts{4, 0}));
+  EXPECT_EQ(read(all, 3), (Counts{0, 4}));
+
+  // A restored replica starts with no kept answers.
+  ASSERT_TRUE(svc.restore_replica(2, svc.checkpoint_replica(0)).ok());
+  EXPECT_EQ(read(alice, 1), (Counts{3, 1}));
+
+  // A replica turned Byzantine after it kept an answer still lies: with a
+  // second replica down, its lie leaves no 2f+1 quorum.
+  svc.replica(1).set_byzantine(true);
+  svc.set_replica_down(3, true);
+  EXPECT_EQ(svc.rdall(alice).value.code(), ErrorCode::kUnavailable);
+  svc.set_replica_down(3, false);
+  auto outvoted = svc.rdall(alice);
+  ASSERT_TRUE(outvoted.value.ok());
+  EXPECT_EQ(*outvoted.value, (std::vector<Tuple>{{"log", "alice", "3"}}));
 }
 
 TEST_F(ServiceFixture, ReplaceQuorum) {

@@ -148,6 +148,22 @@ TEST_F(RememberedAudit, NewestTupleRemoved) {
   EXPECT_TRUE(audit.report.count_mismatch);
 }
 
+TEST_F(RememberedAudit, NewestTupleRewrittenInItsLastByte) {
+  // Only the answer's last byte changes: the last hex digit of the newest
+  // record's mac_b, whose length and place in the answer stay the same.
+  const LogRecord newest = records().back();
+  coord::Tuple forged = newest.to_tuple();
+  char& digit = forged[12].back();
+  digit = digit == '0' ? '1' : '0';
+  at_every_replica([&](coord::Replica& replica) {
+    ASSERT_TRUE(replica.inp(record_template("alice", forged[2])).has_value());
+    replica.out(forged);
+  });
+  const LogAudit audit = compare();
+  EXPECT_FALSE(audit.report.ok);
+  EXPECT_EQ(audit.discarded_seqs, std::set<std::uint64_t>{newest.seq});
+}
+
 TEST_F(RememberedAudit, TamperedAggregatesTuple) {
   at_every_replica([&](coord::Replica& replica) {
     auto aggregates = replica.inp(aggregates_template("alice"));
