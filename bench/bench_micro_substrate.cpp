@@ -332,7 +332,8 @@ void BM_CoordReplace(benchmark::State& state) {
 }
 BENCHMARK(BM_CoordReplace)->Arg(256)->Arg(4096);
 
-// Recovery's read of one user's whole chain (n / 8 records).
+// Recovery's read of one user's unchanged chain (n / 8 records): each
+// replica hands out the answer it kept, and the vote and the decode remain.
 void BM_CoordRdall(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto svc = log_record_store(n);
@@ -341,6 +342,23 @@ void BM_CoordRdall(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0) / 8);
 }
 BENCHMARK(BM_CoordRdall)->Arg(256)->Arg(4096);
+
+// The same read after a replace of one of the chain's records, as a commit
+// does: the replace drops each replica's kept answer, so every replica
+// splices the chain afresh.
+void BM_CoordRdallAfterReplace(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto svc = log_record_store(n);
+  const coord::Template chain = log_chain_pattern("user-0", "*");
+  const coord::Tuple record = log_record_tuple(0, 0);
+  const coord::Template slot = log_chain_pattern(record[1], record[2]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc->replace(slot, record));
+    benchmark::DoNotOptimize(svc->rdall(chain));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0) / 8);
+}
+BENCHMARK(BM_CoordRdallAfterReplace)->Arg(256)->Arg(4096);
 
 // A deployment whose user closed `n` files, and one long-lived recovery
 // service that has audited the chain once. Built on first use per `n`, so
@@ -368,8 +386,9 @@ core::RecoveryService& audited_service(std::size_t n) {
 
 // Recovery's audit of one user's chain of `n` records, repeated on one
 // service as per-file recovery repeats it: the coordination reads of the
-// whole chain, the comparison with the remembered answer and the copy that
-// audit_log returns. Host time only; the rounds' latency is simulated.
+// unchanged chain (each replica hands out its kept answer; the vote still
+// compares every byte), the memcmp with the remembered answer and the copy
+// that audit_log returns. Host time only; the rounds' latency is simulated.
 void BM_AuditLog(benchmark::State& state) {
   core::RecoveryService& recovery = audited_service(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) benchmark::DoNotOptimize(recovery.audit_log());
