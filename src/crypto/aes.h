@@ -1,8 +1,10 @@
 // AES-256 (FIPS 197) block cipher with CTR-mode streaming, plus an
-// encrypt-then-MAC "sealed box" used for the keystore and the local cache.
-// The S-box and round constants are computed from the GF(2^8) definition at
-// first use rather than hardcoded. CTR runs on AES-NI when the CPU has it,
-// with the same key schedule; encrypt_block is the portable reference.
+// encrypt-then-MAC "sealed box" that now serves the keystore only, whose box
+// is stored in the coordination service (the local cache seals with
+// AES-256-GCM, crypto/gcm.h). The S-box and round constants are computed
+// from the GF(2^8) definition at first use rather than hardcoded. CTR runs
+// on AES-NI when the CPU has it, with the same key schedule; encrypt_block
+// is the portable reference.
 #pragma once
 
 #include <array>

@@ -10,6 +10,7 @@
 #include "crypto/aes.h"
 #include "crypto/bigint.h"
 #include "crypto/drbg.h"
+#include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/kernels.h"
 #include "crypto/secp256k1.h"
@@ -271,6 +272,208 @@ TEST(SealedBox, AadBoundaryIsAuthenticated) {
   ASSERT_TRUE(open_sealed(key, box1, v1).ok());
   const Bytes stripped(box1.begin() + 1, box1.end());
   EXPECT_EQ(open_sealed(key, stripped, v12).code(), ErrorCode::kIntegrity);
+}
+
+// ---------------------------------------------------------------- GCM
+
+TEST(Aes256Ctr32, Inc32WrapsTheLowWordOnly) {
+  // From ...FFFFFFFE the counter block runs FFFFFFFF, 00000000, 00000001, ...
+  // and never carries into its first 12 bytes. 20 blocks cross the AES-NI
+  // kernel's eight-block body and its one-block tail.
+  Rng rng(26);
+  const Aes256 cipher(rng.next_bytes(32));
+  Bytes iv = rng.next_bytes(16);
+  std::fill(iv.begin() + 12, iv.end(), 0xFF);
+  iv[15] = 0xFE;
+  constexpr std::size_t kBlocks = 20;
+  Bytes want;
+  for (std::uint32_t k = 0; k < kBlocks; ++k) {
+    Bytes block(iv.begin(), iv.begin() + 12);
+    append_u32(block, 0xFFFFFFFEu + k);
+    cipher.encrypt_block(block.data());
+    append(want, block);
+  }
+  std::vector<detail::CtrKernel> kernels{&detail::aes256_ctr32_portable};
+  if (const auto aesni = detail::aesni_ctr32_kernel()) kernels.push_back(aesni);
+  for (const auto kernel : kernels) {
+    for (const std::size_t n : {std::size_t{48}, std::size_t{16 * kBlocks - 5}}) {
+      const Bytes zeros(n, 0x00);
+      Bytes got(n);
+      kernel(cipher, iv.data(), zeros.data(), got.data(), n);
+      EXPECT_EQ(got, Bytes(want.begin(), want.begin() + static_cast<std::ptrdiff_t>(n)))
+          << "n=" << n;
+    }
+  }
+}
+
+TEST(Aes256Ctr32, AesNiMatchesPortable) {
+  const detail::CtrKernel aesni = detail::aesni_ctr32_kernel();
+  if (aesni == nullptr) GTEST_SKIP() << "CPU lacks AES-NI";
+  Rng rng(27);
+  const Aes256 cipher(rng.next_bytes(32));
+  for (int round = 0; round < 4; ++round) {
+    Bytes iv = rng.next_bytes(16);
+    if (round > 0) {
+      // The low word wraps after 3, 6 and 9 blocks.
+      std::fill(iv.begin() + 12, iv.end(), 0xFF);
+      iv[15] = static_cast<Byte>(0x100 - 3 * round);
+    }
+    for (std::size_t n = 0; n <= 300; n += 7) {
+      const Bytes in = rng.next_bytes(n);
+      Bytes want(n), got(n);
+      detail::aes256_ctr32_portable(cipher, iv.data(), in.data(), want.data(), n);
+      aesni(cipher, iv.data(), in.data(), got.data(), n);
+      ASSERT_EQ(got, want) << "n=" << n << " iv=" << hex_encode(iv);
+    }
+  }
+}
+
+TEST(Ghash, PclmulMatchesPortable) {
+  const detail::GhashKernel pclmul = detail::pclmul_ghash_kernel();
+  if (pclmul == nullptr) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  Rng rng(28);
+  Bytes field_one(16, 0x00), last_bit(16, 0x00);
+  field_one[0] = 0x80;  // bit 0, the coefficient of x^0
+  last_bit[15] = 0x01;  // x^127
+  std::vector<Bytes> keys{Bytes(16, 0x00), field_one, last_bit, Bytes(16, 0xFF)};
+  for (int i = 0; i < 4; ++i) keys.push_back(rng.next_bytes(16));
+  for (const Bytes& h : keys) {
+    for (std::size_t nblocks = 0; nblocks <= 40; ++nblocks) {
+      const Bytes blocks = rng.next_bytes(16 * nblocks);
+      Bytes want = rng.next_bytes(16);
+      Bytes got = want;
+      detail::ghash_portable(h.data(), want.data(), blocks.data(), nblocks);
+      pclmul(h.data(), got.data(), blocks.data(), nblocks);
+      ASSERT_EQ(got, want) << "nblocks=" << nblocks << " h=" << hex_encode(h);
+    }
+  }
+}
+
+struct GcmVector {
+  const char* key;
+  const char* iv;
+  const char* plaintext;
+  const char* aad;
+  const char* ciphertext;
+  const char* tag;
+};
+
+void expect_vector(const GcmVector& v) {
+  const Bytes key = hex_decode(v.key), iv = hex_decode(v.iv);
+  const Bytes pt = hex_decode(v.plaintext), aad = hex_decode(v.aad);
+  const Bytes box = gcm_seal(key, iv, pt, aad);
+  EXPECT_EQ(hex_encode(box), std::string(v.iv) + v.ciphertext + v.tag);
+  const auto opened = gcm_open(key, box, aad, iv.size());
+  ASSERT_TRUE(opened.ok()) << opened.error().message;
+  EXPECT_EQ(*opened, pt);
+}
+
+// The AES-256 test cases 13-18 published with the GCM specification (McGrew
+// and Viega, "The Galois/Counter Mode of Operation", Appendix B): 96-bit IVs,
+// then a 64-bit (17) and a 480-bit IV (18), both of which take J0 from GHASH.
+TEST(Gcm, SpecTestCases13To18) {
+  const char* k0 = "0000000000000000000000000000000000000000000000000000000000000000";
+  const char* k = "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308";
+  const std::string p64 =
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255";
+  const std::string p60 = p64.substr(0, 120);
+  const char* a = "feedfacedeadbeeffeedfacedeadbeefabaddad2";
+  const std::string c64 =
+      "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+      "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad";
+  const std::string c60 = c64.substr(0, 120);
+  const std::string c17 =
+      "c3762df1ca787d32ae47c13bf19844cbaf1ae14d0b976afac52ff7d79bba9de0"
+      "feb582d33934a4f0954cc2363bc73f7862ac430e64abe499f47c9b1f";
+  const std::string iv18 =
+      "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728"
+      "c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b";
+  const std::string c18 =
+      "5a8def2f0c9e53f1f75d7853659e2a20eeb2b22aafde6419a058ab4f6f746bf4"
+      "0fc0c3b780f244452da3ebf1c5d82cdea2418997200ef82e44ae7e3f";
+  const GcmVector cases[] = {
+      {k0, "000000000000000000000000", "", "", "", "530f8afbc74536b9a963b4f1c4cb738b"},
+      {k0, "000000000000000000000000", "00000000000000000000000000000000", "",
+       "cea7403d4d606b6e074ec5d3baf39d18", "d0d1c8a799996bf0265b98b5d48ab919"},
+      {k, "cafebabefacedbaddecaf888", p64.c_str(), "", c64.c_str(),
+       "b094dac5d93471bdec1a502270e3cc6c"},
+      {k, "cafebabefacedbaddecaf888", p60.c_str(), a, c60.c_str(),
+       "76fc6ece0f4e1768cddf8853bb2d551b"},
+      {k, "cafebabefacedbad", p60.c_str(), a, c17.c_str(), "3a337dbf46a792c45e454913fe2ea8f2"},
+      {k, iv18.c_str(), p60.c_str(), a, c18.c_str(), "a44a8266ee1c8eb0c8b5d4cf5ae9f19a"},
+  };
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE("test case " + std::to_string(13 + i));
+    expect_vector(cases[i]);
+  }
+}
+
+// 256-bit IVs, the length the cache box uses. Generated once with Python's
+// `cryptography` 48.0 (OpenSSL's AES-GCM): the first reuses test case 16's
+// key, plaintext and AAD; the second's 200 bytes cross two eight-block GHASH
+// strides and end in a partial block.
+TEST(Gcm, Iv256Vectors) {
+  expect_vector({"feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+                 "9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728",
+                 "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+                 "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+                 "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+                 "88ef565da1373fc6b7fe75efe792c3ac4e4854482b36632c2f35030baa44cd4c"
+                 "8b62d7cbaeed34544e60a180fbf2da2eafb04a1f4c61e31f9cb48a73",
+                 "49476f3d0d85566228b6ffc6add56fd4"});
+
+  Bytes key, iv, pt, aad;
+  for (int i = 0; i < 32; ++i) key.push_back(static_cast<Byte>(i));
+  for (int i = 0; i < 32; ++i) iv.push_back(static_cast<Byte>(0xA0 + i));
+  for (int i = 0; i < 200; ++i) pt.push_back(static_cast<Byte>(7 * i + 3));
+  for (int i = 0; i < 40; ++i) aad.push_back(static_cast<Byte>(5 * i + 1));
+  const Bytes box = gcm_seal(key, iv, pt, aad);
+  ASSERT_EQ(box.size(), 32u + 200u + 16u);
+  EXPECT_EQ(hex_encode(sha256(BytesView(box).subspan(32, 200))),
+            "45ce825c08c580c4d364027aa2c7f5b91e954aebf1d1973b36f2927abdeabb65");
+  EXPECT_EQ(hex_encode(BytesView(box).last(16)), "a8240c89854d1f16c84f823b7f70e3b0");
+  const auto opened = gcm_open(key, box, aad, iv.size());
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, pt);
+}
+
+TEST(Gcm, RoundTripsAtEveryIvAndLength) {
+  Rng rng(29);
+  const Bytes key = rng.next_bytes(32);
+  for (const std::size_t iv_size : {1u, 8u, 12u, 16u, 32u, 60u}) {
+    for (std::size_t n = 0; n <= 300; n += 13) {
+      const Bytes iv = rng.next_bytes(iv_size);
+      const Bytes pt = rng.next_bytes(n);
+      const Bytes aad = rng.next_bytes(n % 41);
+      const Bytes box = gcm_seal(key, iv, pt, aad);
+      ASSERT_EQ(box.size(), iv_size + n + kGcmTagSize);
+      const auto opened = gcm_open(key, box, aad, iv_size);
+      ASSERT_TRUE(opened.ok()) << "iv=" << iv_size << " n=" << n;
+      EXPECT_EQ(*opened, pt);
+    }
+  }
+  EXPECT_THROW(gcm_seal(key, {}, Bytes(4, 0x00), {}), std::invalid_argument);
+}
+
+TEST(Gcm, OpenRejectsAnyChangedByte) {
+  Rng rng(30);
+  const Bytes key = rng.next_bytes(32);
+  const Bytes aad = to_bytes("rockfs.cache.v1|/f|1");
+  const Bytes box = gcm_seal(key, rng.next_bytes(32), to_bytes("cached file"), aad);
+  for (std::size_t i = 0; i < box.size(); ++i) {
+    Bytes bad = box;
+    bad[i] ^= 0x80;
+    EXPECT_EQ(gcm_open(key, bad, aad, 32).code(), ErrorCode::kIntegrity) << "byte " << i;
+  }
+  EXPECT_EQ(gcm_open(rng.next_bytes(32), box, aad, 32).code(), ErrorCode::kIntegrity);
+  EXPECT_EQ(gcm_open(key, box, to_bytes("rockfs.cache.v1|/f|12"), 32).code(),
+            ErrorCode::kIntegrity);
+  Bytes longer = box;
+  longer.push_back(0x00);
+  EXPECT_EQ(gcm_open(key, longer, aad, 32).code(), ErrorCode::kIntegrity);
+  EXPECT_EQ(gcm_open(key, BytesView(box).first(47), aad, 32).code(), ErrorCode::kCorrupted);
+  EXPECT_TRUE(gcm_open(key, gcm_seal(key, Bytes(32, 0x01), {}, aad), aad, 32).ok());
 }
 
 // ---------------------------------------------------------------- DRBG
