@@ -46,7 +46,7 @@ void ClientCache::evict_locked(Shard& shard, const std::string& keep) {
     const std::string& victim = shard.lru.back();
     if (victim == keep) break;  // the working entry never evicts itself
     const auto it = shard.data.find(victim);
-    shard.data_bytes -= it->second.entry.raw.size();
+    shard.data_bytes -= it->second.entry.raw->size();
     shard.data.erase(it);
     shard.lru.pop_back();
     evictions_->add();
@@ -63,19 +63,20 @@ std::optional<DataEntry> ClientCache::get_data(const std::string& path) {
 }
 
 void ClientCache::put_data(const std::string& path, Bytes raw, std::uint64_t version) {
+  auto shared = std::make_shared<const Bytes>(std::move(raw));
   Shard& shard = shard_for(path);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.data.find(path);
   if (it != shard.data.end()) {
-    shard.data_bytes -= it->second.entry.raw.size();
-    shard.data_bytes += raw.size();
-    it->second.entry = {std::move(raw), version};
+    shard.data_bytes -= it->second.entry.raw->size();
+    shard.data_bytes += shared->size();
+    it->second.entry = {std::move(shared), version};
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   } else {
     shard.lru.push_front(path);
-    shard.data_bytes += raw.size();
+    shard.data_bytes += shared->size();
     shard.data.emplace(path,
-                       Shard::DataNode{{std::move(raw), version}, shard.lru.begin()});
+                       Shard::DataNode{{std::move(shared), version}, shard.lru.begin()});
   }
   evict_locked(shard, path);
 }
@@ -85,7 +86,7 @@ void ClientCache::erase_data(const std::string& path) {
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.data.find(path);
   if (it == shard.data.end()) return;
-  shard.data_bytes -= it->second.entry.raw.size();
+  shard.data_bytes -= it->second.entry.raw->size();
   shard.lru.erase(it->second.lru_it);
   shard.data.erase(it);
 }
@@ -95,22 +96,23 @@ std::optional<Bytes> ClientCache::peek_raw(const std::string& path) const {
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.data.find(path);
   if (it == shard.data.end()) return std::nullopt;
-  return it->second.entry.raw;
+  return *it->second.entry.raw;
 }
 
 void ClientCache::poke_raw(const std::string& path, Bytes raw) {
+  auto shared = std::make_shared<const Bytes>(std::move(raw));
   Shard& shard = shard_for(path);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.data.find(path);
   if (it != shard.data.end()) {
-    shard.data_bytes -= it->second.entry.raw.size();
-    shard.data_bytes += raw.size();
-    it->second.entry.raw = std::move(raw);
+    shard.data_bytes -= it->second.entry.raw->size();
+    shard.data_bytes += shared->size();
+    it->second.entry.raw = std::move(shared);
     return;
   }
   shard.lru.push_front(path);
-  shard.data_bytes += raw.size();
-  shard.data.emplace(path, Shard::DataNode{{std::move(raw), 0}, shard.lru.begin()});
+  shard.data_bytes += shared->size();
+  shard.data.emplace(path, Shard::DataNode{{std::move(shared), 0}, shard.lru.begin()});
 }
 
 std::optional<MetaEntry> ClientCache::get_meta(const std::string& path) const {
@@ -152,7 +154,7 @@ void ClientCache::invalidate(const std::string& path) {
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.data.find(path);
   if (it != shard.data.end()) {
-    shard.data_bytes -= it->second.entry.raw.size();
+    shard.data_bytes -= it->second.entry.raw->size();
     shard.lru.erase(it->second.lru_it);
     shard.data.erase(it);
   }

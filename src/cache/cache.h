@@ -55,9 +55,11 @@ struct CacheOptions {
 };
 
 /// One sealed data entry: the transformed representation of exactly one
-/// committed version of the path.
+/// committed version of the path. The bytes are immutable and shared, so a
+/// hit hands them out without copying; put_data and poke_raw swap in a new
+/// buffer, and a reader still holding the old one keeps it alive.
 struct DataEntry {
-  Bytes raw;
+  std::shared_ptr<const Bytes> raw;
   std::uint64_t version = 0;
 };
 
@@ -79,8 +81,9 @@ class ClientCache {
 
   // ---- data tier ----
 
-  /// Copy of the entry, bumping it to MRU. The caller decides hit vs miss
-  /// AFTER version validation + unseal, so this counts nothing.
+  /// The entry (its bytes shared, not copied), bumping it to MRU. The caller
+  /// decides hit vs miss AFTER version validation + unseal, so this counts
+  /// nothing.
   std::optional<DataEntry> get_data(const std::string& path);
   /// Inserts/replaces the path's entry and evicts LRU entries until the
   /// shard is back under budget (the new entry itself survives even when it
@@ -88,7 +91,8 @@ class ClientCache {
   /// worse than a briefly over-budget one).
   void put_data(const std::string& path, Bytes raw, std::uint64_t version);
   void erase_data(const std::string& path);
-  /// Raw bytes without an LRU bump (tests and the T3 attack driver).
+  /// A copy of the raw bytes without an LRU bump (tests and the T3 attack
+  /// driver).
   std::optional<Bytes> peek_raw(const std::string& path) const;
   /// Overwrites the raw representation keeping the version (attack driver:
   /// models on-disk tampering below the transform).

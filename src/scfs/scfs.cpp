@@ -279,8 +279,8 @@ Result<Scfs::Fd> Scfs::open(const std::string& path) {
   if (cache_) {
     if (auto entry = cache_->get_data(path)) {
       if (entry->version == st->version) {
-        delay += local_cost(entry->raw.size());
-        auto plain = transform_->unprotect(path, st->version, entry->raw);
+        delay += local_cost(entry->raw->size());
+        auto plain = transform_->unprotect(path, st->version, *entry->raw);
         if (plain.ok()) {
           of.content = std::move(*plain);
           loaded = true;
@@ -540,10 +540,9 @@ sim::Timed<Status> Scfs::close_timed(Fd fd) {
   // log hooks an empty base so this entry is whole-file: every user's
   // surviving entries then re-execute without needing another user's
   // (possibly dropped) deltas.
-  const Bytes empty_base;
-  const Bytes& log_base =
-      (!of.base_owner.empty() && of.base_owner != options_.user_id) ? empty_base
-                                                                    : of.original;
+  Bytes log_base = (!of.base_owner.empty() && of.base_owner != options_.user_id)
+                       ? Bytes{}
+                       : std::move(of.original);
 
   if (wb_.enabled()) {
     // Stage-and-return: the commit pipeline (intent → uploads → inode) runs
@@ -552,7 +551,7 @@ sim::Timed<Status> Scfs::close_timed(Fd fd) {
     // re-close only replaces the content (writeback.h).
     cache::DirtyEntry entry;
     entry.content = of.content;
-    entry.log_base = log_base;
+    entry.log_base = std::move(log_base);
     entry.base_version = of.version;
     entry.write_epoch = write_epoch;
     entry.stamp_epoch = of.epoch;
@@ -576,7 +575,7 @@ sim::Timed<Status> Scfs::close_timed(Fd fd) {
 
   CommitJob job;
   job.path = of.path;
-  job.log_base = log_base;
+  job.log_base = std::move(log_base);
   job.content = std::move(of.content);
   job.new_version = new_version;
   job.write_epoch = write_epoch;
