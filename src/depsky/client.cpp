@@ -44,6 +44,12 @@ Result<CaBlob> decode_ca_blob(BytesView blob) {
   }
 }
 
+// Whether `blob` is the share the metadata names for cloud `i`: every fetched
+// or rebuilt share is checked here against its signed digest.
+bool share_matches(const UnitMetadata& meta, std::size_t i, BytesView blob) {
+  return ct_equal(crypto::sha256(blob), meta.share_digests[i]);
+}
+
 }  // namespace
 
 DepSkyClient::DepSkyClient(DepSkyConfig config, BytesView drbg_seed)
@@ -667,7 +673,7 @@ sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
                     : guarded_get(i, tokens[i], key, seed, cancel);
     ShareProbe probe;
     probe.delay = got.delay;
-    if (got.value.ok() && ct_equal(crypto::sha256(*got.value), meta.share_digests[i])) {
+    if (got.value.ok() && share_matches(meta, i, *got.value)) {
       probe.valid = true;
       probe.blob = std::move(*got.value);
     } else if (got.value.code() == ErrorCode::kNotFound) {
@@ -771,7 +777,7 @@ sim::Timed<Result<DepSkyClient::RepairReport>> DepSkyClient::repair(
       fetch_delays.push_back(got.delay);
       if (!got.value.ok()) continue;
       states[i].present = true;
-      if (ct_equal(crypto::sha256(*got.value), meta.share_digests[i])) {
+      if (share_matches(meta, i, *got.value)) {
         states[i].valid = true;
         states[i].blob = std::move(*got.value);
       }
@@ -830,7 +836,7 @@ sim::Timed<Result<DepSkyClient::RepairReport>> DepSkyClient::repair(
       if (!key_share.ok()) return {Error{key_share.error()}, total_delay};
       rebuilt[j] = encode_ca_blob(shard->data, *key_share);
       // The digest must match the metadata or the original encoding differed.
-      if (!ct_equal(crypto::sha256(rebuilt[j]), meta.share_digests[j])) {
+      if (!share_matches(meta, j, rebuilt[j])) {
         return {Error{ErrorCode::kInternal, "depsky repair: rebuilt share mismatch"},
                 total_delay};
       }
@@ -930,7 +936,7 @@ sim::Timed<Result<DepSkyClient::ShareInventory>> DepSkyClient::share_inventory(
       sim::SimClock::Micros cloud_delay = got.delay;
       if (got.value.ok()) {
         inv.share_present[i] = true;
-        if (ct_equal(crypto::sha256(*got.value), meta.share_digests[i])) {
+        if (share_matches(meta, i, *got.value)) {
           inv.share_valid[i] = true;
         }
       } else if (config_.clouds[i]->archived(key)) {
