@@ -18,6 +18,7 @@
 #include "crypto/aes.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/kernels.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
 #include "crypto/signature.h"
@@ -25,6 +26,7 @@
 #include "diff/binary_diff.h"
 #include "erasure/reed_solomon.h"
 #include "fssagg/fssagg.h"
+#include "rockfs/cache_security.h"
 #include "rockfs/deployment.h"
 #include "secretshare/pvss.h"
 #include "secretshare/shamir.h"
@@ -61,6 +63,8 @@ void BM_Aes256Ctr(benchmark::State& state) {
 }
 BENCHMARK(BM_Aes256Ctr)->Arg(64 << 10)->Arg(1 << 20);
 
+// The keystore's sealed box (AES-256-CTR + HMAC-SHA-256), which is stored in
+// the coordination service; the cache's box is BM_CacheSealOpen.
 void BM_SealOpen(benchmark::State& state) {
   const Bytes key(32, 0x33);
   const Bytes iv(16, 0x02);
@@ -73,6 +77,51 @@ void BM_SealOpen(benchmark::State& state) {
                           2);
 }
 BENCHMARK(BM_SealOpen)->Arg(1 << 20);
+
+// GHASH through the kernel the GCM box dispatches to (PCLMULQDQ where the CPU
+// has it), and the portable bitwise kernel it falls back to.
+void ghash_rows(benchmark::State& state, crypto::detail::GhashKernel kernel) {
+  const Bytes h = make_data(16);
+  const Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
+  Bytes y(16, 0x00);
+  for (auto _ : state) {
+    kernel(h.data(), y.data(), data.data(), data.size() / 16);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+
+void BM_Ghash(benchmark::State& state) {
+  const auto pclmul = crypto::detail::pclmul_ghash_kernel();
+  ghash_rows(state, pclmul != nullptr ? pclmul : &crypto::detail::ghash_portable);
+}
+BENCHMARK(BM_Ghash)->Arg(64 << 10);
+
+void BM_GhashPortable(benchmark::State& state) {
+  ghash_rows(state, &crypto::detail::ghash_portable);
+}
+BENCHMARK(BM_GhashPortable)->Arg(64 << 10);
+
+// The local cache's box: SecureCacheTransform's protect on close and
+// unprotect on open, i.e. the session key's HKDF, a 256-bit IV from the DRBG
+// and AES-256-GCM each way.
+void BM_CacheSealOpen(benchmark::State& state) {
+  auto clock = std::make_shared<sim::SimClock>();
+  auto coordination = std::make_shared<coord::CoordinationService>(clock, /*f=*/1, /*seed=*/1);
+  auto keys = std::make_shared<core::SessionKeyManager>("bench", coordination, clock,
+                                                        /*validity_us=*/3'600'000'000);
+  core::SecureCacheTransform transform(keys,
+                                       std::make_shared<crypto::Drbg>(to_bytes("bench")));
+  const Bytes data = make_data(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const Bytes box = transform.protect("/docs/file", 1, data);
+    benchmark::DoNotOptimize(transform.unprotect("/docs/file", 1, box));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0) *
+                          2);
+}
+BENCHMARK(BM_CacheSealOpen)->Arg(64 << 10)->Arg(512 << 10);
 
 void BM_RsEncode_2of4(benchmark::State& state) {
   const erasure::ReedSolomon rs(2, 4);
