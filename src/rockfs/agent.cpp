@@ -41,10 +41,15 @@ Status RockFsAgent::login(const SealedKeystore& sealed, const LoginMaterial& mat
   if (!ks.ok()) return Status{ks.error()};
 
   keystore_ = std::make_unique<Keystore>(std::move(*ks));
-  drbg_ = std::make_shared<crypto::Drbg>(keystore_->user_private_key,
-                                         to_bytes("rockfs.agent." + user_id_));
-
   const std::string session_id = user_id_ + "-s" + std::to_string(++logins_);
+  // The session id and the login time are this instantiation's nonce (SP
+  // 800-90A): seeded from the user's key alone, every session would
+  // draw the same bytes, so a re-login would re-mint the last session's S_U
+  // and repeat its cache IVs, and GCM gives up its hash subkey to anyone
+  // holding two boxes under one key and one IV.
+  drbg_ = std::make_shared<crypto::Drbg>(
+      keystore_->user_private_key,
+      to_bytes("rockfs.agent." + session_id + "@" + std::to_string(clock_->now_us())));
 
   // Storage stack: DepSky over the cloud fleet, writing as PR_U.
   depsky::DepSkyConfig cfg;
