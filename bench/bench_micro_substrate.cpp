@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks (google-benchmark, REAL time): throughput of
 // the cryptographic and coding primitives every RockFS operation is built
-// from, plus the host cost of one DepSky metadata round, of coordination
-// rounds on a store of log records and of recovery's repeated chain audit.
+// from, plus the host cost of one DepSky metadata round and of a log unit's
+// read, of coordination rounds on a store of log records and of recovery's
+// repeated chain audit.
 // Not a paper figure — these bound where the client-side CPU time goes and
 // back the DESIGN.md §5 calibration.
 #include <benchmark/benchmark.h>
@@ -333,6 +334,64 @@ void BM_HeadVersion(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(client.head_version(tokens, "files/bench"));
 }
 BENCHMARK(BM_HeadVersion);
+
+// Recovery's download of one log entry: a DepSky read of a 32 KiB log unit
+// (a metadata round, the shares, the decode) on an in-memory fleet. Each
+// iteration reads through a fresh admin client, as a new recovery service
+// does, so the checked row pays the signature check of copies it has not
+// seen. The bound row passes the payload's size and SHA-256, which an
+// audited log record carries, and checks the content instead. Host time
+// only; the rounds' latency is simulated.
+struct LogUnitFleet {
+  std::shared_ptr<sim::SimClock> clock = std::make_shared<sim::SimClock>();
+  std::vector<cloud::CloudProviderPtr> clouds = cloud::make_provider_fleet(clock, 4, 1);
+  std::vector<cloud::AccessToken> admin;
+  crypto::KeyPair admin_keys;
+  std::vector<crypto::PreparedKeyPtr> roster;  // shared, so each comb is built once
+  const std::string unit = "logs/bench/e000000000000";
+  const Bytes payload = make_data(32 << 10);
+  const depsky::ExpectedContent expected{payload.size(), crypto::sha256(payload)};
+
+  LogUnitFleet() {
+    std::vector<cloud::AccessToken> log_tokens;
+    for (const auto& c : clouds) {
+      log_tokens.push_back(c->issue_token("bench", "fs", cloud::TokenScope::kLogAppend));
+      admin.push_back(c->issue_token("admin", "fs", cloud::TokenScope::kAdmin));
+    }
+    crypto::Drbg drbg(to_bytes("bench"));
+    depsky::DepSkyConfig cfg;
+    cfg.clouds = clouds;
+    cfg.writer = crypto::generate_keypair(drbg);
+    admin_keys = crypto::generate_keypair(drbg);
+    roster = {std::make_shared<const crypto::PreparedKey>(cfg.writer.public_key),
+              std::make_shared<const crypto::PreparedKey>(admin_keys.public_key)};
+    depsky::DepSkyClient(std::move(cfg), to_bytes("bench"))
+        .write(log_tokens, unit, payload)
+        .value.expect("write");
+  }
+
+  depsky::DepSkyClient reader() const {
+    depsky::DepSkyConfig cfg;
+    cfg.clouds = clouds;
+    cfg.writer = admin_keys;
+    cfg.trusted_writers = roster;
+    return depsky::DepSkyClient(std::move(cfg), to_bytes("reader"));
+  }
+};
+
+void BM_DepSkyRead(benchmark::State& state) {
+  static const LogUnitFleet fleet;
+  for (auto _ : state) benchmark::DoNotOptimize(fleet.reader().read(fleet.admin, fleet.unit));
+}
+BENCHMARK(BM_DepSkyRead);
+
+void BM_DepSkyReadBound(benchmark::State& state) {
+  static const LogUnitFleet fleet;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fleet.reader().read(fleet.admin, fleet.unit, fleet.expected));
+  }
+}
+BENCHMARK(BM_DepSkyReadBound);
 
 // Coordination rounds (f = 1: four replicas, the vote and the decode) on a
 // store of `n` tuples shaped like `rocklog` records, 13 fields, spread round

@@ -16,11 +16,17 @@ namespace rockfs::depsky {
 
 namespace {
 
-// Per-cloud share blob for protocol CA: erasure shard + Shamir key share.
+// Per-cloud share blob for protocol CA: erasure shard + Shamir key share,
+// lp(shard) ‖ lp(key_share.serialize()), built at its final size so the
+// shard is copied once into one allocation.
 Bytes encode_ca_blob(BytesView shard, const secretshare::ShamirShare& key_share) {
+  const std::size_t share_size = 1 + key_share.y.size();  // x ‖ y
   Bytes out;
+  out.reserve(4 + shard.size() + 4 + share_size);
   append_lp(out, shard);
-  append_lp(out, key_share.serialize());
+  append_u32(out, static_cast<std::uint32_t>(share_size));
+  out.push_back(key_share.x);
+  append(out, key_share.y);
   return out;
 }
 
@@ -87,7 +93,8 @@ DepSkyClient::DepSkyClient(DepSkyConfig config, BytesView drbg_seed)
   for (const auto& w : config_.trusted_writers) has_own = has_own || ct_equal(w->encoded(), own);
   // A client built without a writer key (the identity) trusts no own key:
   // nothing verifies under the identity.
-  if (!has_own && !config_.writer.public_key.infinity) {
+  own_writes_trusted_ = !config_.writer.public_key.infinity;
+  if (!has_own && own_writes_trusted_) {
     config_.trusted_writers.push_back(
         std::make_shared<const crypto::PreparedKey>(config_.writer.public_key));
   }
@@ -373,7 +380,7 @@ std::optional<std::string> DepSkyClient::unit_of_key(const std::string& key) {
 }
 
 DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
-    const std::vector<cloud::AccessToken>& tokens, const std::string& unit) {
+    const std::vector<cloud::AccessToken>& tokens, const std::string& unit, bool bound) {
   // Query every contactable cloud in parallel; a quorum of n-f responses
   // (found or definitive not-found) settles the answer. Branches only fetch,
   // deserialize and shape-check. Trust is decided post-join, in ascending
@@ -383,7 +390,9 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
   // byte comparison. The price: on a multi-thread pool, several *distinct*
   // authentic copies in one round verify one after another instead of
   // overlapping (an honest round verifies at most one). The highest-version
-  // selection also happens here, so it is schedule-independent.
+  // selection also happens here, so it is schedule-independent. A bound
+  // round skips authentic() and everything that rests on it: the witness
+  // marks, the high-water check and the accepted head.
   obs::Span group = obs::tracer().span("depsky.meta_fetch", {.fanout = true});
   struct MetaProbe {
     sim::SimClock::Micros delay = 0;
@@ -398,7 +407,9 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
   Verdicts decided;
   const auto ingest = [&](std::size_t i, MetaProbe&& probe) {
     if (probe.responded) ++responses;
-    if (probe.meta && authentic(unit, probe.raw, *probe.meta, decided)) {
+    if (!probe.meta) return;
+    if (!bound) {
+      if (!authentic(unit, probe.raw, *probe.meta, decided)) return;
       // Freshness check against the witness: a cloud answering below its own
       // provable mark is lying (an honest cloud that merely missed a write
       // never has a mark above what it stores). kNotFound is deliberately
@@ -414,15 +425,15 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
       } else {
         witness_->record_meta(unit, cname, probe.meta->version, config_.session);
       }
-      // Equal versions tie-break on membership epoch so a freshly-stamped
-      // copy beats a not-yet-migrated one (reconfig.h fencing depends on it).
-      if (!found || probe.meta->version > best.version ||
-          (probe.meta->version == best.version &&
-           probe.meta->membership_epoch > best.membership_epoch)) {
-        best = std::move(*probe.meta);
-        best_raw = std::move(probe.raw);
-        found = true;
-      }
+    }
+    // Equal versions tie-break on membership epoch so a freshly-stamped
+    // copy beats a not-yet-migrated one (reconfig.h fencing depends on it).
+    if (!found || probe.meta->version > best.version ||
+        (probe.meta->version == best.version &&
+         probe.meta->membership_epoch > best.membership_epoch)) {
+      best = std::move(*probe.meta);
+      best_raw = std::move(probe.raw);
+      found = true;
     }
   };
   const auto probe_cloud = [&](std::size_t i, std::uint64_t seed,
@@ -457,6 +468,7 @@ DepSkyClient::MetadataFetch DepSkyClient::fetch_metadata(
     group.set_outcome(ErrorCode::kNotFound);
     return {Error{ErrorCode::kNotFound, "depsky: no such unit: " + unit}, delay};
   }
+  if (bound) return {std::move(best), delay};
   // Unit-level high-water mark: even a quorum cannot serve below a version
   // this deployment has already confirmed. With honest majorities the
   // per-cloud checks above fire first; reaching here means > f clouds
@@ -603,6 +615,10 @@ sim::Timed<Status> DepSkyClient::write(const std::vector<cloud::AccessToken>& to
     }
   }
   witness_->record_unit(unit, version, config_.session);
+  // The copy a quorum now holds is this client's own signature under a key
+  // on its roster, so trusted() would pass it: the next round that serves
+  // it (a close's phase 1, a head_version) compares bytes instead.
+  if (own_writes_trusted_) accepted_heads_[unit] = meta_bytes;
 
   // Garbage-collect the previous version's shares in the background (no
   // latency charge; deletes are not on the critical path). Log-namespace
@@ -621,134 +637,165 @@ sim::Timed<Status> DepSkyClient::write(const std::vector<cloud::AccessToken>& to
 }
 
 sim::Timed<Result<Bytes>> DepSkyClient::read(const std::vector<cloud::AccessToken>& tokens,
-                                             const std::string& unit) {
-  return read_impl(tokens, unit, /*cold=*/false);
+                                             const std::string& unit,
+                                             const std::optional<ExpectedContent>& expected) {
+  return read_impl(tokens, unit, /*cold=*/false, expected);
 }
 
 sim::Timed<Result<Bytes>> DepSkyClient::read_archived(
-    const std::vector<cloud::AccessToken>& tokens, const std::string& unit) {
-  return read_impl(tokens, unit, /*cold=*/true);
+    const std::vector<cloud::AccessToken>& tokens, const std::string& unit,
+    const std::optional<ExpectedContent>& expected) {
+  return read_impl(tokens, unit, /*cold=*/true, expected);
 }
 
 sim::Timed<Result<Bytes>> DepSkyClient::read_impl(
-    const std::vector<cloud::AccessToken>& tokens, const std::string& unit, bool cold) {
+    const std::vector<cloud::AccessToken>& tokens, const std::string& unit, bool cold,
+    const std::optional<ExpectedContent>& expected) {
   if (tokens.size() != n()) {
     return {Error{ErrorCode::kInvalidArgument, "depsky read: one token per cloud"}, 0};
   }
   obs::Span span = obs::tracer().span("depsky.read");
   sim::SimClock::Micros total_delay = 0;
 
-  auto head = fetch_metadata(tokens, unit);
-  total_delay += head.delay;
-  span.charge_child(static_cast<std::uint64_t>(head.delay));
-  if (!head.metadata.ok()) {
-    span.set_duration(static_cast<std::uint64_t>(total_delay));
-    span.set_outcome(head.metadata.code());
-    return {Error{head.metadata.error()}, total_delay};
-  }
-  const UnitMetadata& meta = *head.metadata;
+  // One attempt: a metadata round, the shares its chosen copy names (each
+  // digest-checked against that copy, so read corruption leaves the same k
+  // shares as in a checked read) and the decode. A bound attempt's copy is
+  // unchecked, so it only chooses shares: it raises no withheld-share flag,
+  // and each size it names is compared with the share bytes actually
+  // fetched before anything is allocated by it (ReedSolomon::decode checks
+  // every shard against shard_size first).
+  const auto attempt = [&](bool bound) -> Result<Bytes> {
+    auto head = fetch_metadata(tokens, unit, bound);
+    total_delay += head.delay;
+    span.charge_child(static_cast<std::uint64_t>(head.delay));
+    if (!head.metadata.ok()) return Error{head.metadata.error()};
+    const UnitMetadata& meta = *head.metadata;
 
-  // Fetch shares in parallel from healthy clouds (per-cloud retry), keep
-  // digest-valid ones. The SHA-256 digest check runs inside each branch so
-  // the hashing overlaps on the pool; ingestion stays in ascending cloud
-  // order post-join.
-  struct ValidShare {
-    std::size_t cloud;
-    Bytes blob;
-    sim::SimClock::Micros delay;
-  };
-  struct ShareProbe {
-    sim::SimClock::Micros delay = 0;
-    bool valid = false;
-    bool not_found = false;
-    Bytes blob;
-  };
-  const std::size_t needed = config_.protocol == Protocol::kA ? 1 : k();
-  obs::Span group = obs::tracer().span("depsky.share_fetch", {.fanout = true});
-  std::vector<ValidShare> valid;
-  const auto probe_share = [&](std::size_t i, std::uint64_t seed,
-                               const common::CancelToken& cancel) {
-    const std::string key = share_key(unit, meta.version, i);
-    auto got = cold ? config_.clouds[i]->restore_from_cold(tokens[i], key)
-                    : guarded_get(i, tokens[i], key, seed, cancel);
-    ShareProbe probe;
-    probe.delay = got.delay;
-    if (got.value.ok() && share_matches(meta, i, *got.value)) {
-      probe.valid = true;
-      probe.blob = std::move(*got.value);
-    } else if (got.value.code() == ErrorCode::kNotFound) {
-      probe.not_found = true;
-    }
-    return probe;
-  };
-  const auto ingest = [&](std::size_t i, ShareProbe&& probe) {
-    if (probe.valid) {
-      valid.push_back({i, std::move(probe.blob), probe.delay});
-    } else if (probe.not_found && !cold) {
-      // Cross-cloud audit: this cloud acked the upload of this very version's
-      // share and now claims it never existed. One incident is forgivable
-      // (provider-side loss happens); the ledger quarantines on repetition.
+    // Fetch shares in parallel from healthy clouds (per-cloud retry), keep
+    // digest-valid ones. The SHA-256 digest check runs inside each branch so
+    // the hashing overlaps on the pool; ingestion stays in ascending cloud
+    // order post-join.
+    struct ValidShare {
+      std::size_t cloud;
+      Bytes blob;
+      sim::SimClock::Micros delay;
+    };
+    struct ShareProbe {
+      sim::SimClock::Micros delay = 0;
+      bool valid = false;
+      bool not_found = false;
+      Bytes blob;
+    };
+    const std::size_t needed = config_.protocol == Protocol::kA ? 1 : k();
+    obs::Span group = obs::tracer().span("depsky.share_fetch", {.fanout = true});
+    std::vector<ValidShare> valid;
+    const auto probe_share = [&](std::size_t i, std::uint64_t seed,
+                                 const common::CancelToken& cancel) {
       const std::string key = share_key(unit, meta.version, i);
-      if (const auto sm = witness_->share_mark(unit, config_.clouds[i]->name());
-          sm && *sm >= meta.version && !config_.clouds[i]->archived(key)) {
-        flag_misbehavior(i, MisbehaviorKind::kWithheldShare, unit);
+      auto got = cold ? config_.clouds[i]->restore_from_cold(tokens[i], key)
+                      : guarded_get(i, tokens[i], key, seed, cancel);
+      ShareProbe probe;
+      probe.delay = got.delay;
+      if (got.value.ok() && share_matches(meta, i, *got.value)) {
+        probe.valid = true;
+        probe.blob = std::move(*got.value);
+      } else if (got.value.code() == ErrorCode::kNotFound) {
+        probe.not_found = true;
       }
+      return probe;
+    };
+    const auto ingest = [&](std::size_t i, ShareProbe&& probe) {
+      if (probe.valid) {
+        valid.push_back({i, std::move(probe.blob), probe.delay});
+      } else if (probe.not_found && !cold && !bound) {
+        // Cross-cloud audit: this cloud acked the upload of this very
+        // version's share and now claims it never existed. One incident is
+        // forgivable (provider-side loss happens); the ledger quarantines on
+        // repetition.
+        const std::string key = share_key(unit, meta.version, i);
+        if (const auto sm = witness_->share_mark(unit, config_.clouds[i]->name());
+            sm && *sm >= meta.version && !config_.clouds[i]->archived(key)) {
+          flag_misbehavior(i, MisbehaviorKind::kWithheldShare, unit);
+        }
+      }
+    };
+
+    const auto all_delays = quorum_round(
+        needed, probe_share, [](const ShareProbe& probe) { return probe.valid; }, ingest);
+    // Completion when the `needed`-th fastest valid share arrived (or, short
+    // of that, when the last probe gave up).
+    const bool enough = valid.size() >= needed;
+    std::vector<sim::SimClock::Micros> valid_delays;
+    valid_delays.reserve(valid.size());
+    for (const auto& v : valid) valid_delays.push_back(v.delay);
+    const auto fetch_delay = enough ? sim::quorum_delay(valid_delays, needed)
+                                    : sim::parallel_delay(all_delays);
+    total_delay += fetch_delay;
+    group.set_duration(static_cast<std::uint64_t>(fetch_delay));
+    if (!enough) group.set_outcome(ErrorCode::kUnavailable);
+    group.finish();
+    span.charge_child(static_cast<std::uint64_t>(fetch_delay));
+    if (!enough) {
+      return Error{ErrorCode::kUnavailable, "depsky read: not enough valid shares"};
     }
+
+    if (config_.protocol == Protocol::kA) {
+      if (valid.front().blob.size() != meta.data_size) {
+        return Error{ErrorCode::kCorrupted, "depsky read: size mismatch"};
+      }
+      span.set_bytes(meta.data_size);
+      return std::move(valid.front().blob);
+    }
+
+    // Protocol CA: reassemble key and ciphertext from the k fastest valid
+    // blobs.
+    std::sort(valid.begin(), valid.end(),
+              [](const ValidShare& a, const ValidShare& b) { return a.delay < b.delay; });
+    std::vector<erasure::Shard> shards;
+    std::vector<secretshare::ShamirShare> key_shares;
+    for (std::size_t i = 0; i < needed; ++i) {
+      auto blob = decode_ca_blob(valid[i].blob);
+      if (!blob.ok()) return Error{blob.error()};
+      shards.push_back({valid[i].cloud, std::move(blob->shard)});
+      key_shares.push_back(std::move(blob->key_share));
+    }
+    const erasure::ReedSolomon rs(k(), n());
+    auto sealed = rs.decode(shards, meta.data_size);
+    if (!sealed.ok()) return Error{sealed.error()};
+    auto key = secretshare::shamir_combine(key_shares, k());
+    if (!key.ok()) return Error{key.error()};
+    if (key->size() != crypto::Aes256::kKeySize) {
+      return Error{ErrorCode::kCorrupted, "depsky read: key shares of the wrong size"};
+    }
+    if (sealed->size() < crypto::Aes256::kBlockSize) {
+      return Error{ErrorCode::kCorrupted, "depsky read: sealed data too short"};
+    }
+    span.set_bytes(meta.data_size);
+    const BytesView sealed_view(*sealed);
+    const BytesView iv = sealed_view.subspan(0, crypto::Aes256::kBlockSize);
+    const BytesView ct = sealed_view.subspan(crypto::Aes256::kBlockSize);
+    return crypto::aes256_ctr(*key, iv, ct);
   };
 
-  const auto all_delays = quorum_round(
-      needed, probe_share, [](const ShareProbe& probe) { return probe.valid; }, ingest);
-  // Completion when the `needed`-th fastest valid share arrived (or, short
-  // of that, when the last probe gave up).
-  const bool enough = valid.size() >= needed;
-  std::vector<sim::SimClock::Micros> valid_delays;
-  valid_delays.reserve(valid.size());
-  for (const auto& v : valid) valid_delays.push_back(v.delay);
-  const auto fetch_delay = enough ? sim::quorum_delay(valid_delays, needed)
-                                  : sim::parallel_delay(all_delays);
-  total_delay += fetch_delay;
-  group.set_duration(static_cast<std::uint64_t>(fetch_delay));
-  if (!enough) group.set_outcome(ErrorCode::kUnavailable);
-  group.finish();
-  span.charge_child(static_cast<std::uint64_t>(fetch_delay));
-  span.set_duration(static_cast<std::uint64_t>(total_delay));
-  if (!enough) {
-    span.set_outcome(ErrorCode::kUnavailable);
-    return {Error{ErrorCode::kUnavailable, "depsky read: not enough valid shares"},
-            total_delay};
-  }
-  span.set_bytes(meta.data_size);
-
-  if (config_.protocol == Protocol::kA) {
-    if (valid.front().blob.size() != meta.data_size) {
-      return {Error{ErrorCode::kCorrupted, "depsky read: size mismatch"}, total_delay};
+  // With an expectation the read is bound to it: the first attempt skips
+  // the signature checks, and only matching content leaves this function.
+  // Anything else (a forged copy from up to f clouds chose the shares, or
+  // the round simply failed) costs the checked read, once.
+  const auto matches = [&](const Result<Bytes>& content) {
+    return content.ok() && content->size() == expected->size &&
+           ct_equal(crypto::sha256(*content), expected->sha256);
+  };
+  Result<Bytes> content = attempt(/*bound=*/expected.has_value());
+  if (expected && !matches(content)) {
+    content = attempt(/*bound=*/false);
+    if (content.ok() && !matches(content)) {
+      content = Error{ErrorCode::kIntegrity,
+                      "depsky read: " + unit + " differs from its expected digest"};
     }
-    return {std::move(valid.front().blob), total_delay};
   }
-
-  // Protocol CA: reassemble key and ciphertext from the k fastest valid blobs.
-  std::sort(valid.begin(), valid.end(),
-            [](const ValidShare& a, const ValidShare& b) { return a.delay < b.delay; });
-  std::vector<erasure::Shard> shards;
-  std::vector<secretshare::ShamirShare> key_shares;
-  for (std::size_t i = 0; i < needed; ++i) {
-    auto blob = decode_ca_blob(valid[i].blob);
-    if (!blob.ok()) return {Error{blob.error()}, total_delay};
-    shards.push_back({valid[i].cloud, std::move(blob->shard)});
-    key_shares.push_back(std::move(blob->key_share));
-  }
-  const erasure::ReedSolomon rs(k(), n());
-  auto sealed = rs.decode(shards, meta.data_size);
-  if (!sealed.ok()) return {Error{sealed.error()}, total_delay};
-  auto key = secretshare::shamir_combine(key_shares, k());
-  if (!key.ok()) return {Error{key.error()}, total_delay};
-  if (sealed->size() < crypto::Aes256::kBlockSize) {
-    return {Error{ErrorCode::kCorrupted, "depsky read: sealed data too short"}, total_delay};
-  }
-  const BytesView sealed_view(*sealed);
-  const BytesView iv = sealed_view.subspan(0, crypto::Aes256::kBlockSize);
-  const BytesView ct = sealed_view.subspan(crypto::Aes256::kBlockSize);
-  return {crypto::aes256_ctr(*key, iv, ct), total_delay};
+  span.set_duration(static_cast<std::uint64_t>(total_delay));
+  if (!content.ok()) span.set_outcome(content.code());
+  return {std::move(content), total_delay};
 }
 
 sim::Timed<Result<DepSkyClient::RepairReport>> DepSkyClient::repair(
@@ -1064,6 +1111,7 @@ sim::Timed<Status> DepSkyClient::stamp_membership_epoch(
                             config_.session);
     }
   }
+  if (own_writes_trusted_) accepted_heads_[unit] = meta_bytes;  // as write() does
   return {Status::Ok(), total_delay};
 }
 

@@ -10,8 +10,10 @@
 // Every unit carries signed, versioned metadata (metadata.h). Writes push
 // shares to all clouds in parallel and complete at the (n-f)-th ack; reads
 // accept the highest-version valid metadata and the fastest f+1 digest-valid
-// shares. Like every simulated component, operations return sim::Timed and
-// never advance the clock themselves.
+// shares, or, when the caller already holds an authenticated digest of the
+// content, the highest-version well-formed metadata and only content that
+// matches that digest. Like every simulated component, operations return
+// sim::Timed and never advance the clock themselves.
 #pragma once
 
 #include <functional>
@@ -79,6 +81,14 @@ struct DepSkyConfig {
   std::uint64_t membership_epoch = 0;
 };
 
+/// What a read's caller already knows the content must be, from a record
+/// an authenticated structure binds (a FssAgg-audited log record carries
+/// its payload's size and SHA-256 inside its MAC).
+struct ExpectedContent {
+  std::uint64_t size = 0;
+  Bytes sha256;
+};
+
 class DepSkyClient {
  public:
   DepSkyClient(DepSkyConfig config, BytesView drbg_seed);
@@ -106,14 +116,24 @@ class DepSkyClient {
   sim::Timed<Status> write(const std::vector<cloud::AccessToken>& tokens,
                            const std::string& unit, BytesView data);
 
-  /// Reads the latest version of `unit`.
-  sim::Timed<Result<Bytes>> read(const std::vector<cloud::AccessToken>& tokens,
-                                 const std::string& unit);
+  /// Reads the latest version of `unit`. With `expected`, the content is
+  /// bound to it instead of to a metadata signature: the metadata round
+  /// takes every well-formed copy as a candidate without checking it (and
+  /// none feeds the witness, the accepted heads or the misbehavior ledger),
+  /// and the read returns only content of that size and SHA-256. When that
+  /// attempt fails or its content differs, the checked read runs once and
+  /// its delay is added, so a forged copy costs one retry; content the
+  /// checked read returns must match too (kIntegrity otherwise).
+  sim::Timed<Result<Bytes>> read(
+      const std::vector<cloud::AccessToken>& tokens, const std::string& unit,
+      const std::optional<ExpectedContent>& expected = std::nullopt);
 
   /// Reads a unit whose shares were moved to cold storage (admin-only,
-  /// Glacier-class latency). Metadata must still be hot.
-  sim::Timed<Result<Bytes>> read_archived(const std::vector<cloud::AccessToken>& tokens,
-                                          const std::string& unit);
+  /// Glacier-class latency). Metadata must still be hot. `expected` as for
+  /// read().
+  sim::Timed<Result<Bytes>> read_archived(
+      const std::vector<cloud::AccessToken>& tokens, const std::string& unit,
+      const std::optional<ExpectedContent>& expected = std::nullopt);
 
   /// Reads the unit's current version number (0 = does not exist).
   sim::Timed<Result<std::uint64_t>> head_version(
@@ -225,9 +245,12 @@ class DepSkyClient {
     sim::SimClock::Micros delay = 0;
   };
 
-  /// Highest-version valid metadata over an (n-f) quorum.
+  /// Highest-version valid metadata over an (n-f) quorum. `bound`: the
+  /// caller checks the content against an expected digest, so every
+  /// well-formed copy is a candidate without authentic(), and neither the
+  /// witness nor the accepted heads learn anything from the round.
   MetadataFetch fetch_metadata(const std::vector<cloud::AccessToken>& tokens,
-                               const std::string& unit);
+                               const std::string& unit, bool bound = false);
   /// Whether the metadata is signed by a trusted writer: checked with the
   /// prepared key whose encoding is its writer_pub.
   bool trusted(const UnitMetadata& meta) const;
@@ -243,7 +266,8 @@ class DepSkyClient {
                  Verdicts& decided) const;
   /// Shared body of read / read_archived.
   sim::Timed<Result<Bytes>> read_impl(const std::vector<cloud::AccessToken>& tokens,
-                                      const std::string& unit, bool cold);
+                                      const std::string& unit, bool cold,
+                                      const std::optional<ExpectedContent>& expected);
 
   /// Cloud indices to contact for one quorum phase: every cloud whose
   /// breaker admits requests, padded with open-breaker clouds (forced
@@ -320,11 +344,17 @@ class DepSkyClient {
   mutable std::mutex stats_mu_;        // guards stats_ (branches update it)
   ResilienceStats stats_;
   ObsHandles obs_;
-  /// unit -> serialized head metadata the last successful fetch_metadata
-  /// selected. Every entry passed trusted() in this client, so an unchanged
-  /// head costs a byte comparison instead of a signature check. Touched only
-  /// on the coordinator thread (ingest runs there, never in branches).
+  /// unit -> serialized head metadata the last successful checked
+  /// fetch_metadata selected, or that this client's last write or stamp of
+  /// the unit published to a quorum. Every entry passed trusted() in this
+  /// client or was signed by its own writer key, which is on its roster
+  /// (own_writes_trusted_), so an unchanged head costs a byte comparison
+  /// instead of a signature check. Touched only on the coordinator thread
+  /// (ingest runs there, never in branches).
   std::map<std::string, Bytes> accepted_heads_;
+  /// Whether this client's writer key is on its roster, so that metadata it
+  /// signs would pass trusted(): false only for the identity key.
+  bool own_writes_trusted_ = false;
 };
 
 }  // namespace rockfs::depsky

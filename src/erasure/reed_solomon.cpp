@@ -29,7 +29,10 @@ ReedSolomon::ReedSolomon(std::size_t k, std::size_t n)
     : k_(k), n_(n), coding_(build_coding_matrix(k, n)) {}
 
 std::size_t ReedSolomon::shard_size(std::size_t data_size) const {
-  return (data_size + k_ - 1) / k_;
+  // ceil(data_size / k) without the overflow of data_size + k - 1: decode
+  // takes data_size from metadata, and a size near 2^64 must not wrap to a
+  // small stride that lets it allocate data_size bytes.
+  return data_size / k_ + (data_size % k_ != 0 ? 1 : 0);
 }
 
 std::vector<Shard> ReedSolomon::encode(BytesView data) const { return encode(data, nullptr); }

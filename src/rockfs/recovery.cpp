@@ -22,6 +22,14 @@ sim::SimClock::Micros patch_cost(std::size_t bytes) {
                                                   kPatchBytesPerSec);
 }
 
+// What an audited record binds its data half to: payload_size and
+// payload_hash sit inside the record's FssAgg MAC (LogRecord::mac_payload),
+// so recovery's downloads are bound to them instead of to the log unit's
+// metadata signature (DepSkyClient::read).
+depsky::ExpectedContent audited_payload(const LogRecord& r) {
+  return {r.payload_size, r.payload_hash};
+}
+
 }  // namespace
 
 RecoveryService::RecoveryService(std::string user_id, RecoveryConfig config,
@@ -172,9 +180,10 @@ RecoveryService::SnapshotBaseline RecoveryService::load_snapshot(
     if (snap == nullptr || r.seq > snap->seq) snap = &r;
   }
   if (snap == nullptr) return baseline;
-  auto payload = storage_->read(config_.admin_tokens, snap->data_unit());
+  auto payload =
+      storage_->read(config_.admin_tokens, snap->data_unit(), audited_payload(*snap));
   *delay += payload.delay;
-  if (!payload.value.ok() || !snap->matches(*payload.value)) return baseline;
+  if (!payload.value.ok()) return baseline;
   auto unwrapped = unwrap_log_payload(*payload.value);
   if (!unwrapped.ok()) return baseline;
   auto delta = diff::LogDelta::deserialize(*unwrapped);
@@ -297,15 +306,20 @@ void RecoveryService::replay(const std::vector<const LogRecord*>& records, Bytes
   std::vector<Fetched> fetched;
   std::vector<sim::SimClock::Micros> download_delays;
   for (const LogRecord* r : records) {
-    auto payload = storage_->read(config_.admin_tokens, r->data_unit());
+    // The read returns only a data half that matches the MAC-verified
+    // metadata.
+    const depsky::ExpectedContent expected = audited_payload(*r);
+    auto payload = storage_->read(config_.admin_tokens, r->data_unit(), expected);
     if (!payload.value.ok() && payload.value.code() == ErrorCode::kUnavailable) {
       // Shares may have been archived by a compaction whose snapshot was
-      // later lost: fall back to cold storage (slow, but nothing is gone).
-      payload = storage_->read_archived(config_.admin_tokens, r->data_unit());
+      // later lost: fall back to cold storage (slow, but nothing is gone),
+      // after the failed hot read.
+      auto cold = storage_->read_archived(config_.admin_tokens, r->data_unit(), expected);
+      cold.delay += payload.delay;
+      payload = std::move(cold);
     }
     download_delays.push_back(payload.delay);
-    // Cross-check the data half against the MAC-verified metadata.
-    if (!payload.value.ok() || !r->matches(*payload.value)) {
+    if (!payload.value.ok()) {
       ++result->skipped_invalid;
       continue;
     }

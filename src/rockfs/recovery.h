@@ -7,8 +7,10 @@
 //      service remembers each chain it audited and, when the answer only
 //      grew, confirms the remembered prefix and checks just the new tail);
 //   2. download the data halves (ld_fu) of the surviving entries from the
-//      cloud-of-clouds in one parallel batch (the §6.3 optimization) and
-//      discard any whose digest disagrees with the verified metadata;
+//      cloud-of-clouds in one parallel batch (the §6.3 optimization), each
+//      read bound to the size and digest in its verified metadata (no
+//      metadata signature is checked unless the bound read fails), and
+//      discard any that cannot be read to that digest;
 //   3. selective re-execution: rebuild the file by applying every valid,
 //      non-malicious delta in log order (whole-file entries reset the state,
 //      delete entries empty it);
@@ -232,8 +234,9 @@ class RecoveryService {
                           sim::SimClock::Micros* delay);
   /// Steps 2-4, shared by recover_one and recover_shared_file: batch-
   /// downloads the data halves of `records` (surviving entries, replay
-  /// order), drops any whose digest, wrapper or delta fails, and re-executes
-  /// the rest on top of `base`. Counts into result->applied and
+  /// order) bound to their audited digests, drops any that cannot be read to
+  /// them or whose wrapper or delta fails, and re-executes the rest on top
+  /// of `base`. Counts into result->applied and
   /// result->skipped_invalid and sets result->content.
   void replay(const std::vector<const LogRecord*>& records, Bytes base,
               FileRecovery* result, sim::SimClock::Micros* delay);

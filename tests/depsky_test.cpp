@@ -181,9 +181,10 @@ TEST_F(DepSkyFixture, RejectsForgedMetadata) {
   crypto::Drbg attacker_drbg(to_bytes("attacker"));
   const crypto::KeyPair attacker = crypto::generate_keypair(attacker_drbg);
   for (const std::size_t at : {0u, 3u}) {
-    auto client = make_client(Protocol::kCA);
     const std::string unit = "files/f" + std::to_string(at);
-    client.write(file_tokens, unit, to_bytes("honest")).value.expect("w");
+    make_client(Protocol::kCA).write(file_tokens, unit, to_bytes("honest")).value.expect("w");
+    // A fresh reader: the writer would accept its own copy without a check.
+    auto client = make_client(Protocol::kCA);
     UnitMetadata forged;
     forged.unit = unit;
     forged.version = 999;
@@ -208,10 +209,13 @@ TEST_F(DepSkyFixture, RejectsForgedMetadata) {
 }
 
 TEST_F(DepSkyFixture, HonestRoundVerifiesOneCopy) {
+  make_client(Protocol::kCA)
+      .write(file_tokens, "files/f", to_bytes("checked once"))
+      .value.expect("w");
+  // A client that has not seen the unit: the four clouds serve identical
+  // bytes, so the first copy is verified and the other three reuse its
+  // verdict.
   auto client = make_client(Protocol::kCA);
-  client.write(file_tokens, "files/f", to_bytes("checked once")).value.expect("w");
-  // The four clouds serve identical bytes: the first copy is verified, the
-  // other three reuse its verdict.
   auto before = TrustCounts::now();
   auto r = client.read(file_tokens, "files/f");
   ASSERT_TRUE(r.value.ok());
@@ -225,6 +229,45 @@ TEST_F(DepSkyFixture, HonestRoundVerifiesOneCopy) {
   ASSERT_TRUE(r.value.ok());
   EXPECT_EQ(to_string(*r.value), "checked once");
   used = TrustCounts::now().since(before);
+  EXPECT_EQ(used.verified, 0u);
+  EXPECT_EQ(used.reused, 4u);
+}
+
+TEST_F(DepSkyFixture, SameClientReadAfterWriteVerifiesNothing) {
+  // The copy a write publishes is the writer's own signature under a key on
+  // its roster: the writer remembers it as the unit's head.
+  auto client = make_client(Protocol::kCA);
+  client.write(file_tokens, "files/f", to_bytes("mine")).value.expect("w");
+  auto before = TrustCounts::now();
+  auto r = client.read(file_tokens, "files/f");
+  ASSERT_TRUE(r.value.ok());
+  EXPECT_EQ(to_string(*r.value), "mine");
+  auto used = TrustCounts::now().since(before);
+  EXPECT_EQ(used.verified, 0u);
+  EXPECT_EQ(used.reused, 4u);
+  // So does a membership stamp: the re-signed copy is the new head.
+  client.set_membership_epoch(1);
+  client.stamp_membership_epoch(file_tokens, "files/f", 1).value.expect("stamp");
+  before = TrustCounts::now();
+  EXPECT_EQ(*client.head_version(file_tokens, "files/f").value, 1u);
+  used = TrustCounts::now().since(before);
+  EXPECT_EQ(used.verified, 0u);
+  EXPECT_EQ(used.reused, 4u);
+}
+
+TEST_F(DepSkyFixture, FailedWriteSeedsNoHead) {
+  // A log unit's metadata cannot be overwritten, so a second write of it
+  // signs version 2, lands its shares and fails at the metadata quorum.
+  auto client = make_client(Protocol::kCA);
+  const std::string unit = "logs/alice/e0";
+  client.write(log_tokens, unit, to_bytes("entry")).value.expect("w");
+  EXPECT_FALSE(client.write(log_tokens, unit, to_bytes("again")).value.ok());
+  // The head is still version 1's copy, which every cloud serves.
+  const auto before = TrustCounts::now();
+  auto r = client.read(admin_tokens, unit);
+  ASSERT_TRUE(r.value.ok());
+  EXPECT_EQ(to_string(*r.value), "entry");
+  const auto used = TrustCounts::now().since(before);
   EXPECT_EQ(used.verified, 0u);
   EXPECT_EQ(used.reused, 4u);
 }
@@ -273,8 +316,8 @@ TEST_F(DepSkyFixture, RememberedHeadStillFacesTheWitness) {
   auto r = client.read(file_tokens, unit);
   ASSERT_TRUE(r.value.ok()) << r.value.error().message;
   EXPECT_EQ(to_string(*r.value), "v2");
-  // Cloud 0's frozen v1 copy equals the accepted head, so it is authentic
-  // without a check; cloud 1's v2 is verified and clouds 2-3 match it.
+  // The v2 write made v2's copy the accepted head, so clouds 1-3 reuse it;
+  // cloud 0's frozen v1 copy is verified, and authentic.
   const auto used = TrustCounts::now().since(before);
   EXPECT_EQ(used.verified, 1u);
   EXPECT_EQ(used.reused, 3u);

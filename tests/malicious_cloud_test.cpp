@@ -17,11 +17,18 @@
 // honest-content digest is bit-identical to a never-attacked run.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "depsky/client.h"
 #include "depsky/health.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rockfs/attack.h"
 #include "rockfs/deployment.h"
 #include "rockfs/malicious.h"
@@ -297,6 +304,224 @@ TEST(MaliciousSoak, EquivocatingCloudIsAlsoEvicted) {
   MaliciousSoakOptions baseline = opts;
   baseline.attacker = false;
   EXPECT_EQ(run_malicious_soak(baseline).content_digest, report.content_digest);
+}
+
+// ------------------------------------------------ digest-bound recovery reads
+//
+// Recovery binds each log payload download to the size and SHA-256 in its
+// FssAgg-audited record instead of checking the log unit's metadata
+// signature (DepSkyClient::read with an ExpectedContent). A malicious cloud
+// may then serve any well-shaped copy: it may choose the shares of one
+// attempt, but it must cost at most one checked retry, never an entry, and
+// must teach the recovery's client nothing.
+
+enum class Forgery { kHigherVersion, kOtherDigests, kHugeSize };
+
+const char* forgery_name(Forgery how) {
+  switch (how) {
+    case Forgery::kHigherVersion: return "higher version";
+    case Forgery::kOtherDigests: return "other share digests";
+    case Forgery::kHugeSize: return "data_size 2^62";
+  }
+  return "?";
+}
+
+// Every misbehavior the deployment's DepSky clients have flagged so far
+// (flag_misbehavior books each incident, and the ledger quarantines only
+// on them).
+std::uint64_t detections(Deployment& dep) {
+  std::uint64_t total = 0;
+  for (const char* kind : {"rollback", "equivocation", "withheld_share"}) {
+    for (const auto& c : dep.clouds()) {
+      total += obs::metrics()
+                   .counter(obs::metric_key(std::string("depsky.detect.") + kind, c->name()))
+                   .value();
+    }
+  }
+  return total;
+}
+
+std::uint64_t meta_verified() {
+  return obs::metrics().counter("depsky.meta.verified").value();
+}
+
+struct BoundRecoveryRead : ::testing::Test {
+  static constexpr std::size_t kEntries = 4;  // create + 3 updates of /doc
+  Deployment dep;
+  RockFsAgent& alice = dep.add_user("alice");
+  Bytes content;
+
+  void SetUp() override {
+    Rng rng(5);
+    content = rng.next_bytes(6'000);
+    alice.write_file("/doc", content).expect("create");
+    for (std::size_t i = 1; i < kEntries; ++i) {
+      append(content, rng.next_bytes(800));
+      alice.write_file("/doc", content).expect("update");
+    }
+    alice.drain_background();
+    obs::tracer().set_capacity(obs::Tracer::kDefaultCapacity);
+  }
+
+  std::vector<LogRecord> records() {
+    auto records = read_log_records(*dep.coordination(), "alice");
+    return std::move(records.value).value();
+  }
+
+  // Replaces cloud `at`'s copy of `unit`'s metadata with a well-shaped one
+  // signed by a key no reader trusts, as a malicious cloud can.
+  void plant(const std::string& unit, std::size_t at, Forgery how) {
+    const std::string key = depsky::DepSkyClient::metadata_key(unit);
+    auto& cloud = *dep.clouds()[at];
+    const auto admin = dep.admin_tokens();
+    auto forged = depsky::UnitMetadata::deserialize(*cloud.get(admin[at], key).value);
+    ASSERT_TRUE(forged.ok());
+    switch (how) {
+      case Forgery::kHigherVersion:
+        forged->version = 999;
+        break;
+      case Forgery::kOtherDigests:
+        for (auto& d : forged->share_digests) d = crypto::sha256(to_bytes("forged"));
+        break;
+      case Forgery::kHugeSize:
+        forged->data_size = std::uint64_t{1} << 62;
+        break;
+    }
+    crypto::Drbg attacker_drbg(to_bytes("attacker"));
+    forged->sign(crypto::generate_keypair(attacker_drbg));
+    ASSERT_TRUE(cloud.lose_object(key).ok());
+    cloud.put(admin[at], key, forged->serialize()).value.expect("plant");
+  }
+
+  // Metadata rounds run inside DepSky reads since the tracer was reset: one
+  // per read, plus one per checked retry.
+  static std::size_t read_rounds() {
+    const auto events = obs::tracer().events();
+    std::set<std::uint64_t> reads;
+    for (const auto& e : events) {
+      if (e.name == "depsky.read") reads.insert(e.id);
+    }
+    std::size_t rounds = 0;
+    for (const auto& e : events) {
+      if (e.name == "depsky.meta_fetch" && reads.contains(e.parent)) ++rounds;
+    }
+    return rounds;
+  }
+};
+
+TEST_F(BoundRecoveryRead, HonestRecoveryChecksOneSignature) {
+  auto recovery = dep.make_recovery_service("alice");
+  obs::tracer().reset();
+  const std::uint64_t before = meta_verified();
+  auto result = recovery.recover_file("/doc", {});
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_EQ(result->content, content);
+  EXPECT_EQ(result->applied, kEntries);
+  EXPECT_EQ(result->skipped_invalid, 0u);
+  // The replayed downloads check none, the upload's first round checks the
+  // file's head once, and the head_version after it is the upload's own.
+  EXPECT_EQ(meta_verified() - before, 1u);
+  EXPECT_EQ(read_rounds(), kEntries);
+}
+
+TEST_F(BoundRecoveryRead, ForgedLogUnitCopyCostsAtMostOneRetry) {
+  const std::vector<LogRecord> log = records();
+  ASSERT_EQ(log.size(), kEntries);
+  const std::string unit = log[1].data_unit();
+  const std::string meta_key = depsky::DepSkyClient::metadata_key(unit);
+  const auto admin = dep.admin_tokens();
+  for (const std::size_t at : {0u, 3u}) {
+    for (const Forgery how :
+         {Forgery::kHigherVersion, Forgery::kOtherDigests, Forgery::kHugeSize}) {
+      SCOPED_TRACE(std::string(forgery_name(how)) + " at cloud " + std::to_string(at));
+      const Bytes honest = *dep.clouds()[at]->get(admin[at], meta_key).value;
+      plant(unit, at, how);
+      const std::uint64_t flagged = detections(dep);
+
+      auto recovery = dep.make_recovery_service("alice");
+      obs::tracer().reset();
+      auto result = recovery.recover_file("/doc", {});
+      ASSERT_TRUE(result.ok()) << result.error().message;
+      EXPECT_EQ(result->content, content);
+      EXPECT_EQ(result->applied, kEntries);
+      EXPECT_EQ(result->skipped_invalid, 0u);
+      EXPECT_LE(read_rounds(), kEntries + 1);
+
+      // Nothing the forged copy said reached the witness or the ledger.
+      for (const auto& c : dep.clouds()) {
+        const auto mark = dep.witness()->meta_mark(unit, c->name());
+        EXPECT_LE(mark ? mark->version : 0u, 1u) << c->name();
+      }
+      const auto umark = dep.witness()->unit_mark(unit);
+      EXPECT_LE(umark ? umark->version : 0u, 1u);
+      EXPECT_EQ(detections(dep), flagged);
+      EXPECT_EQ(dep.quarantined_cloud(), Deployment::kNoCloud);
+
+      // A checked read still rejects the copy: it reads version 1, and the
+      // forged bytes cost a signature check that fails.
+      auto& checked = *alice.storage();
+      const std::uint64_t verified = meta_verified();
+      EXPECT_EQ(*checked.head_version(admin, unit).value, 1u);
+      EXPECT_GE(meta_verified() - verified, 1u);
+      auto payload = checked.read(admin, unit);
+      ASSERT_TRUE(payload.value.ok()) << payload.value.error().message;
+      EXPECT_TRUE(log[1].matches(*payload.value));
+
+      ASSERT_TRUE(dep.clouds()[at]->lose_object(meta_key).ok());
+      dep.clouds()[at]->put(admin[at], meta_key, honest).value.expect("restore");
+    }
+  }
+}
+
+// The cold-tier fallback runs after the hot read failed, so the recovery
+// pays both reads' virtual time.
+TEST(ColdFallback, ChargesTheFailedHotRead) {
+  Deployment dep;
+  auto& alice = dep.add_user("alice");
+  Rng rng(8);
+  const Bytes content = rng.next_bytes(4'000);
+  alice.write_file("/f", content).expect("create");
+  alice.drain_background();
+  const auto admin = dep.admin_tokens();
+  auto records = read_log_records(*dep.coordination(), "alice");
+  ASSERT_EQ(records.value->size(), 1u);
+  const std::string unit = records.value->front().data_unit();
+  for (std::size_t i = 0; i < dep.clouds().size(); ++i) {
+    dep.clouds()[i]->archive(admin[i], depsky::DepSkyClient::share_key(unit, 1, i))
+        .value.expect("archive");
+  }
+
+  auto recovery = dep.make_recovery_service("alice");
+  obs::tracer().set_capacity(obs::Tracer::kDefaultCapacity);
+  obs::tracer().reset();
+  auto result = recovery.recover_file("/f", {});
+  ASSERT_TRUE(result.ok()) << result.error().message;
+  EXPECT_EQ(result->content, content);
+
+  const auto events = obs::tracer().events();
+  std::uint64_t root = 0;
+  for (const auto& e : events) {
+    if (e.name == "recovery.recover_file") root = e.id;
+  }
+  ASSERT_NE(root, 0u);
+  std::vector<std::int64_t> reads;
+  std::int64_t children = 0;
+  for (const auto& e : events) {
+    if (e.parent != root) continue;
+    children += static_cast<std::int64_t>(e.duration_us);
+    if (e.name == "depsky.read") reads.push_back(static_cast<std::int64_t>(e.duration_us));
+  }
+  ASSERT_EQ(reads.size(), 2u);  // the failed hot read, then the cold one
+  EXPECT_GT(reads[0], 0);
+  // The recover_file span's direct children are serial, so the MTTR is the
+  // sum of their durations up to a few delays accounted apart from them
+  // (the patch, the audit's rotation-manifest read, the upload's
+  // head_version round), each far shorter than the failed hot read. The
+  // MTTR must lie nearer the sum with that read than the sum without it.
+  const std::int64_t mttr = recovery.last_recovery_us();
+  const auto off = [&](std::int64_t sum) { return std::llabs(mttr - sum); };
+  EXPECT_LT(off(children), off(children - reads[0]))
+      << "MTTR " << mttr << ", children " << children << ", hot read " << reads[0];
 }
 
 }  // namespace
